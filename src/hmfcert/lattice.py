@@ -1,7 +1,12 @@
 """Exact lattice linear algebra over the integers with p-local readouts.
 
 Integer matrices are tuples of tuples of ints, row vectors spanning the
-lattice.  Rational inputs (for subspace data) use fractions.Fraction.
+lattice.  The elimination core is integer-only: every rational solve goes
+through one fraction-free Gauss-Jordan (_solve), every Hermite form
+through hnf, and a rational lattice is an integer matrix with one common
+denominator.  fractions.Fraction appears only at the Split input, whose
+bases are cleared to integers once, and in the eigenvalue search of
+find_congruences, which works with operators restricted to those bases.
 The Bareiss fraction-free determinant kernel defined here is shared with
 the number-field module, which clears denominators and calls it.
 """
@@ -90,6 +95,51 @@ def det_rational(m) -> Fraction:
     return Fraction(bareiss_det(rows), 1) / scale
 
 
+def _transpose(m, ncols: int) -> list[list]:
+    """Transpose of m, which has ncols columns (an empty m gives ncols [])."""
+    return [[row[j] for row in m] for j in range(ncols)]
+
+
+def _solve(a, b) -> tuple[int, list[list[int]]]:
+    """(d, Y) with A*Y = d*B and d != 0, for square integer A and integer B.
+
+    Fraction-free Gauss-Jordan (Bareiss): every entry of [A | B] after step
+    k is a minor of the input, so the division by the previous pivot is
+    exact, and the final [d*I | Y] has d = +-det(A) and Y = d * A^-1 * B.
+    """
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rk)]
+        prev = pk
+    return prev, [row[n:] for row in rows]
+
+
+def _lowest_terms(m, den: int) -> tuple[IntMatrix, int]:
+    """The rational matrix m/den over its least common denominator.
+
+    Returns (m/g, den/g) with g = +-gcd(den, entries of m), signed so that
+    den/g > 0: the pair _scale_to_int returns for m/den.
+    """
+    g = den
+    for row in m:
+        for x in row:
+            g = math.gcd(g, x)
+    if den < 0:
+        g = -g
+    return _as_matrix(tuple(x // g for x in row) for row in m), den // g
+
+
 def hnf(m) -> IntMatrix:
     """Row-style Hermite normal form with positive pivots.
 
@@ -134,47 +184,16 @@ def hnf(m) -> IntMatrix:
 
 
 def hnf_with_transform(m) -> tuple[IntMatrix, IntMatrix]:
-    """(H, U) with U unimodular, U*M = [H; 0] (H the nonzero HNF rows)."""
-    a = [list(map(int, row)) for row in m]
-    nrows = len(a)
-    u = [list(row) for row in _identity(nrows)]
+    """(H, U) with U unimodular, U*M = [H; 0] (H the nonzero HNF rows).
+
+    The Hermite form of [M | I] is [U*M | U]: its rows with a pivot in M
+    come first and give H, the rest have zero M-part.
+    """
+    a = _as_matrix(m)
     ncols = len(a[0]) if a else 0
-    pivot_row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(pivot_row, nrows):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[pivot_row], a[piv] = a[piv], a[pivot_row]
-        u[pivot_row], u[piv] = u[piv], u[pivot_row]
-        for i in range(pivot_row + 1, nrows):
-            while a[i][col] != 0:
-                q = a[pivot_row][col] // a[i][col]
-                for j in range(ncols):
-                    a[pivot_row][j] -= q * a[i][j]
-                for j in range(nrows):
-                    u[pivot_row][j] -= q * u[i][j]
-                a[pivot_row], a[i] = a[i], a[pivot_row]
-                u[pivot_row], u[i] = u[i], u[pivot_row]
-        if a[pivot_row][col] < 0:
-            a[pivot_row] = [-x for x in a[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        p = a[pivot_row][col]
-        for i in range(pivot_row):
-            q = a[i][col] // p
-            if q:
-                for j in range(ncols):
-                    a[i][j] -= q * a[pivot_row][j]
-                for j in range(nrows):
-                    u[i][j] -= q * u[pivot_row][j]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    h = _as_matrix(a[:pivot_row])
-    return h, _as_matrix(u)
+    full = hnf(row + e for row, e in zip(a, _identity(len(a))))
+    h = tuple(row[:ncols] for row in full if any(row[:ncols]))
+    return h, tuple(row[ncols:] for row in full)
 
 
 def snf(m) -> tuple[int, ...]:
@@ -362,33 +381,14 @@ def coordinate_split(n: int, d1: int) -> Split:
     return Split(tuple(e[:d1]), tuple(e[d1:]))
 
 
-def _mat_inverse(m):
-    """Inverse of a square rational matrix (Gauss-Jordan over Fraction)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def _scale_to_int(rows) -> tuple[IntMatrix, int]:
-    """(integer matrix, common denominator) with int_matrix = denom * rows."""
-    denom = 1
-    for row in rows:
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    out = _as_matrix(tuple(int(Fraction(x) * denom) for x in row) for row in rows)
+    """(integer matrix, common denominator) with int_matrix = denom * rows.
+
+    The entries are ints or Fractions; denom is their least common denominator.
+    """
+    denom = math.lcm(1, *(x.denominator for row in rows for x in row))
+    out = _as_matrix(tuple(x.numerator * (denom // x.denominator) for x in row)
+                     for row in rows)
     return out, denom
 
 
@@ -418,23 +418,20 @@ def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
         raise DegenerateSplit("split ambient dimension mismatch")
     if lat.rank != n:
         raise DegenerateSplit("lattice is not full rank in V1 ⊕ V2")
-    p = s.v1_basis + s.v2_basis
-    pinv = _mat_inverse(p)
-    # coords[i] = coordinates of basis row i in the (V1, V2) basis
-    coords = mat_mul([[Fraction(x) for x in row] for row in lat.basis], pinv)
+    p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
+    # coords * P = basis: the coordinates of the basis rows in the (V1, V2)
+    # basis are coords = p_den * Y^T / d with P^T * Y = d * basis^T
+    d, y = _solve(_transpose(p, n), _transpose(lat.basis, n))
+    coords = [[p_den * x for x in row] for row in zip(*y)]
     d1 = s.dim1
 
     def intersection(keep: slice, kill: slice):
-        kill_block = [row[kill] for row in coords]
-        kill_int, _ = _scale_to_int(kill_block)
-        ker = left_kernel(kill_int)
-        inter_coords = mat_mul(ker, [row[keep] for row in coords])
-        m, denom = _scale_to_int(inter_coords)
+        ker = left_kernel([row[kill] for row in coords])
+        m, denom = _lowest_terms(mat_mul(ker, [row[keep] for row in coords]), d)
         return hnf(m), denom
 
     def projection(keep: slice):
-        block = [row[keep] for row in coords]
-        m, denom = _scale_to_int(block)
+        m, denom = _lowest_terms([row[keep] for row in coords], d)
         return hnf(m), denom
 
     l1, l1_den = intersection(slice(0, d1), slice(d1, n))
@@ -446,23 +443,43 @@ def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
     return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den)
 
 
+def _relation_matrix(sub, sub_den: int, amb, amb_den: int) -> IntMatrix:
+    """The integer X with sub/sub_den = X * amb/amb_den, amb square.
+
+    Raises ValueError when X is not integral, i.e. when the rows of
+    sub/sub_den do not lie in the lattice spanned by amb/amb_den.
+    """
+    # X = (sub * amb^-1) * amb_den/sub_den, and amb^T * Y = d * sub^T
+    g = math.gcd(sub_den, amb_den)
+    num, den = amb_den // g, sub_den // g
+    d, y = _solve(_transpose(amb, len(amb)), _transpose(sub, len(amb)))
+    rows = []
+    for i in range(len(sub)):
+        row = []
+        for yrow in y:
+            q, r = divmod(yrow[i] * num, d * den)
+            if r:
+                raise ValueError("sublattice is not contained in ambient lattice")
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _quotient_invariants(sub: IntMatrix, sub_den: int, amb: IntMatrix, amb_den: int):
     """Invariant factors of (amb/amb_den) / (sub/sub_den), both full rank."""
-    # rescale to a common denominator so both are integer lattices
-    lcm = sub_den * amb_den // math.gcd(sub_den, amb_den)
-    sub_i = [[x * (lcm // sub_den) for x in row] for row in sub]
-    amb_i = [[x * (lcm // amb_den) for x in row] for row in amb]
-    inv = _mat_inverse(amb_i)
-    m = mat_mul([[Fraction(x) for x in r] for r in sub_i], inv)
-    rows = []
-    for row in m:
-        irow = []
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValueError("sublattice is not contained in ambient lattice")
-            irow.append(int(x))
-        rows.append(irow)
-    return snf(rows)
+    return snf(_relation_matrix(sub, sub_den, amb, amb_den))
+
+
+def _ambient_rows(s: Split, pieces) -> tuple[IntMatrix, int]:
+    """A V1 piece and a V2 piece, each (rows, denom) in V_j-coordinates, as
+    rows in ambient coordinates: (integer rows, common denominator)."""
+    p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
+    den = p_den * math.lcm(*(bden for _, bden in pieces))
+    out = []
+    for (rows, bden), pj in zip(pieces, (p[:s.dim1], p[s.dim1:])):
+        scale = den // (bden * p_den)
+        out += [tuple(scale * x for x in row) for row in mat_mul(rows, pj)]
+    return tuple(out), den
 
 
 def _p_part(n: int, p: int) -> int:
@@ -507,19 +524,8 @@ def congruence_module(lat: Lattice, s: Split, p: int) -> CongruenceModule:
     q2 = _quotient_invariants(pieces.l2, pieces.l2_denom,
                               pieces.l2_proj, pieces.l2_proj_denom)
     # middle quotient L / (L1 ⊕ L2), in ambient coordinates
-    n = lat.ambient_dim
-    d1 = s.dim1
-    p_mat = s.v1_basis + s.v2_basis
-    sub_rows = []
-    for row in pieces.l1:
-        amb = [sum(Fraction(row[j], pieces.l1_denom) * p_mat[j][c] for j in range(d1))
-               for c in range(n)]
-        sub_rows.append(amb)
-    for row in pieces.l2:
-        amb = [sum(Fraction(row[j], pieces.l2_denom) * p_mat[d1 + j][c]
-                   for j in range(n - d1)) for c in range(n)]
-        sub_rows.append(amb)
-    sub_i, sub_den = _scale_to_int(sub_rows)
+    sub_i, sub_den = _ambient_rows(s, ((pieces.l1, pieces.l1_denom),
+                                       (pieces.l2, pieces.l2_denom)))
     qm = _quotient_invariants(sub_i, sub_den, lat.basis, 1)
 
     locals_ = tuple(tuple(_p_part(f, p) for f in q if _p_part(f, p) != 1)
@@ -533,28 +539,15 @@ def split_indices(lat: Lattice, s: Split) -> tuple[int, int]:
     """Indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L]."""
     pieces = split_lattice(lat, s)
     n = lat.ambient_dim
-    d1 = s.dim1
-    p_mat = s.v1_basis + s.v2_basis
-
-    def vol(rows_den_pairs):
-        # rows of the two blocks embedded in ambient, as one n x n matrix
-        rows = []
-        for block, den, offset, dim in rows_den_pairs:
-            for row in block:
-                amb = [sum(Fraction(row[j], den) * p_mat[offset + j][c]
-                           for j in range(dim)) for c in range(n)]
-                rows.append(amb)
-        return abs(det_rational(rows))
-
-    vol_l = abs(det_rational(lat.basis))
-    vol_inner = vol([(pieces.l1, pieces.l1_denom, 0, d1),
-                     (pieces.l2, pieces.l2_denom, d1, n - d1)])
-    vol_outer = vol([(pieces.l1_proj, pieces.l1_proj_denom, 0, d1),
-                     (pieces.l2_proj, pieces.l2_proj_denom, d1, n - d1)])
-    idx_inner = vol_inner / vol_l
-    idx_outer = vol_l / vol_outer
-    assert idx_inner.denominator == 1 and idx_outer.denominator == 1
-    return int(idx_inner), int(idx_outer)
+    inner, inner_den = _ambient_rows(s, ((pieces.l1, pieces.l1_denom),
+                                         (pieces.l2, pieces.l2_denom)))
+    outer, outer_den = _ambient_rows(s, ((pieces.l1_proj, pieces.l1_proj_denom),
+                                         (pieces.l2_proj, pieces.l2_proj_denom)))
+    vol_l = abs(bareiss_det(lat.basis))
+    idx_inner, r_inner = divmod(abs(bareiss_det(inner)), vol_l * inner_den**n)
+    idx_outer, r_outer = divmod(vol_l * outer_den**n, abs(bareiss_det(outer)))
+    assert r_inner == 0 and r_outer == 0
+    return idx_inner, idx_outer
 
 
 @dataclass(frozen=True)
@@ -606,33 +599,21 @@ class ExtensionNeeded(Exception):
 def _charpoly(m) -> list[Fraction]:
     """Characteristic polynomial det(xI - M), low degree first, exact.
 
-    Evaluated at n+1 integer points and Lagrange-interpolated; each
-    evaluation is a fraction-free determinant.
+    Berkowitz's division-free recursion over the leading principal blocks:
+    bordering the block A_k by column C, row R and corner a multiplies its
+    polynomial by the Toeplitz matrix of 1, -a, -RC, -RAC, ..., -RA^(k-1)C.
     """
     n = len(m)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        a = [[(Fraction(x) if i == j else Fraction(0)) - Fraction(m[i][j])
-              for j in range(n)] for i in range(n)]
-        ys.append(det_rational(a))
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, xi in enumerate(xs):
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                new[k + 1] += c
-                new[k] -= xj * c
-            poly = new
-            denom *= xi - xj
-        w = ys[i] / denom
-        for k, c in enumerate(poly):
-            coeffs[k] += w * c
-    return coeffs
+    poly = [Fraction(1)]  # high degree first
+    for k in range(n):
+        t = [1, -m[k][k]]
+        v = [m[i][k] for i in range(k)]
+        for _ in range(k):
+            t.append(-sum(r * x for r, x in zip(m[k], v)))
+            v = [sum(m[i][j] * v[j] for j in range(k)) for i in range(k)]
+        poly = [sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly[::-1]
 
 
 def _integer_roots(coeffs: list[Fraction]) -> list[int]:
@@ -667,91 +648,20 @@ def _integer_roots(coeffs: list[Fraction]) -> list[int]:
 
 
 def _restrict(op, basis):
-    """Matrix of the operator on span(basis) in that basis (rows act right)."""
-    imgs = mat_mul([[Fraction(x) for x in row] for row in basis],
-                   [[Fraction(x) for x in r] for r in op])
-    # solve img = C * basis for C
-    bt = [[Fraction(x) for x in row] for row in basis]
-    # least-structure solve: basis has full row rank; use pseudo-solve via
-    # augmenting to square with independent completion is overkill; instead
-    # solve the linear system row by row with Gaussian elimination.
-    rows = len(bt)
-    cols = len(bt[0])
-    out = []
-    for img in imgs:
-        # solve y * basis = img
-        a = [[bt[i][j] for j in range(cols)] for i in range(rows)]
-        aug = [list(col) + [img[j]] for j, col in enumerate(zip(*a))]
-        # aug is cols x (rows+1): solve basis^T y^T = img^T
-        y = _solve_exact(aug, rows)
-        if y is None:
-            raise NotStable("operator does not preserve the subspace")
-        out.append(tuple(y))
-    return tuple(out)
+    """Matrix C of the operator on span(basis) in that basis: C*basis = basis*op.
 
-
-def _solve_exact(aug, nvars):
-    """Solve an overdetermined exact linear system in row echelon fashion.
-
-    aug has rows [a_1 ... a_nvars | b]; returns solution list or None.
+    Solved on the pivot columns of the basis, then checked on all columns.
     """
-    rows = [list(r) for r in aug]
-    m = len(rows)
-    piv_cols = []
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / Fraction(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency
-    for i in range(r, m):
-        if rows[i][nvars] != 0:
-            return None
-    sol = [Fraction(0)] * nvars
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][nvars]
-    return sol
-
-
-def _nullspace(m):
-    """Basis of the right nullspace {v : M v = 0} of a rational matrix."""
-    if not m:
-        return []
-    rows = [list(map(Fraction, r)) for r in m]
-    ncols = len(rows[0])
-    r = 0
-    piv_cols = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis
+    b, _ = _scale_to_int(basis)
+    o, o_den = _scale_to_int(op)
+    img = mat_mul(b, o)  # = o_den * C * b
+    cols = [next(j for j, x in enumerate(row) if x) for row in hnf(b)]
+    d, y = _solve([[row[j] for row in b] for j in cols],
+                  [[row[j] for row in img] for j in cols])
+    c = _transpose(y, len(b))
+    if mat_mul(c, b) != tuple(tuple(d * x for x in row) for row in img):
+        raise NotStable("operator does not preserve the subspace")
+    return tuple(tuple(Fraction(x, d * o_den) for x in row) for row in c)
 
 
 @dataclass(frozen=True)
@@ -778,8 +688,7 @@ def _split_eigensystems(ops_restricted, dim):
     Returns (systems, extension_dim) where extension_dim counts dimensions
     lost to eigenvalues outside the rational integers.
     """
-    spaces = [([tuple(Fraction(int(i == j)) for j in range(dim))
-                for i in range(dim)], ())]
+    spaces = [(_identity(dim), ())]
     ext_dim = 0
     for op in ops_restricted:
         new_spaces = []
@@ -788,16 +697,15 @@ def _split_eigensystems(ops_restricted, dim):
             roots = _integer_roots(_charpoly(sub))
             covered = 0
             for lam in roots:
-                shifted = [[sub[i][j] - (lam if i == j else 0)
-                            for j in range(len(sub))] for i in range(len(sub))]
-                # vectors are rows, so take the nullspace of the transpose
-                ns = _nullspace(list(map(list, zip(*shifted))))
-                if not ns:
+                shifted, _ = _scale_to_int(
+                    [[x - lam if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(sub)])
+                # eigenvectors are rows v with v * shifted = 0
+                ker = left_kernel(shifted)
+                if not ker:
                     continue
-                eig_basis = mat_mul([list(v) for v in ns],
-                                    [list(map(Fraction, row)) for row in basis])
-                new_spaces.append(([tuple(r) for r in eig_basis], vals + (lam,)))
-                covered += len(ns)
+                new_spaces.append((mat_mul(ker, basis), vals + (lam,)))
+                covered += len(ker)
             ext_dim += len(basis) - covered
         spaces = new_spaces
     systems = tuple(Eigensystem(values=vals, dim=len(basis))
@@ -851,36 +759,31 @@ def localized_module_nonzero(ops, lat: Lattice, s: Split, p: int,
     sub = pieces.l1
     den_s = pieces.l1_denom
     d1 = s.dim1
-    # operator on V1 in the basis of L^1
+    # operator on V1 in the basis of L^1: the images of the rows of L^1,
+    # written in that basis
     ops_v1 = []
     for op in ops:
-        r = _restrict(op, s.v1_basis)  # in V1-basis coordinates
-        # change to the L^1 basis
-        amb_q = [[Fraction(x, den_a) for x in row] for row in amb]
-        m = mat_mul(mat_mul(amb_q, r), _mat_inverse(amb_q))
-        ops_v1.append(m)
+        # in V1-basis coordinates
+        r, r_den = _scale_to_int(_restrict(op, s.v1_basis))
+        ops_v1.append(_relation_matrix(mat_mul(amb, r), den_a * r_den, amb, den_a))
     # relation matrix of L1 in terms of the basis of L^1
-    lcm = den_s * den_a // math.gcd(den_s, den_a)
-    sub_i = [[x * (lcm // den_s) for x in row] for row in sub]
-    amb_i = [[x * (lcm // den_a) for x in row] for row in amb]
-    rel = mat_mul([[Fraction(x) for x in r] for r in sub_i], _mat_inverse(amb_i))
-    rel = [[int(x) for x in row] for row in rel]
+    rel = _relation_matrix(sub, den_s, amb, den_a)
     # quotient Z^d1 / rel with operator action ops_v1 (integer in this basis)
     # mod p: vector space (Z^d1 / rel + pZ^d1); compute its F_p dimension and
     # the action, then test a common generalized eigenspace for theta.
     rows = [[x % p for x in row] for row in rel] + \
            [[p if i == j else 0 for j in range(d1)] for i in range(d1)]
-    # basis of the quotient: F_p-cokernel of rows
-    # cokernel = F_p^d1 / rowspan(rows mod p)
-    span = _fp_row_space(rows, p)
-    quot_proj, quot_dim = _fp_cokernel_projection(span, d1, p)
+    # basis of the quotient: the free coordinates of F_p^d1 / rowspan(rows)
+    span, piv_cols = _fp_rref(rows, p)
+    free = [c for c in range(d1) if c not in piv_cols]
+    quot_dim = len(free)
     if quot_dim == 0:
         return False
     # induced operators on the quotient
     mats = []
     for op in ops_v1:
-        opm = [[int(Fraction(x)) % p for x in row] for row in op]
-        mats.append(_fp_quotient_operator(opm, quot_proj, span, d1, p))
+        opm = [[x % p for x in row] for row in op]
+        mats.append(_fp_quotient_operator(opm, free, span, p))
     # intersect generalized eigenspaces
     space = [[1 if i == j else 0 for j in range(quot_dim)] for i in range(quot_dim)]
     for m, lam in zip(mats, theta):
@@ -889,7 +792,8 @@ def localized_module_nonzero(ops, lat: Lattice, s: Split, p: int,
         power = shifted
         for _ in range(quot_dim - 1):
             power = _fp_matmul(power, shifted, p)
-        ker = _fp_nullspace(power, p)
+        # vectors are rows: v * power = 0
+        ker = _fp_kernel(_transpose(power, quot_dim), p, quot_dim)
         if not ker:
             return False
         # restrict the ambient space to this kernel: intersect
@@ -907,12 +811,14 @@ def _fp_matmul(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
 
 
-def _fp_row_space(rows, p):
+def _fp_rref(rows, p):
+    """Reduced row echelon form over F_p: (nonzero rows, pivot columns)."""
     m = [[x % p for x in row] for row in rows]
     ncols = len(m[0]) if m else 0
     r = 0
+    piv_cols = []
     for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] % p != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
@@ -922,17 +828,24 @@ def _fp_row_space(rows, p):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        piv_cols.append(c)
         r += 1
-    return m[:r]
+    return m[:r], piv_cols
 
 
-def _fp_cokernel_projection(span, n, p):
-    """Projection data for F_p^n / rowspan: free coordinates of the quotient."""
-    piv_cols = []
-    for row in span:
-        piv_cols.append(next(c for c in range(n) if row[c] != 0))
-    free = [c for c in range(n) if c not in piv_cols]
-    return (piv_cols, free), len(free)
+def _fp_kernel(m, p, nvars):
+    """Kernel vectors v (length nvars) with m @ v = 0, m is rows x nvars."""
+    red, piv_cols = _fp_rref(m, p)
+    basis = []
+    for fc in range(nvars):
+        if fc in piv_cols:
+            continue
+        v = [0] * nvars
+        v[fc] = 1
+        for row, pc in zip(red, piv_cols):
+            v[pc] = (-row[fc]) % p
+        basis.append(v)
+    return basis
 
 
 def _fp_reduce(vec, span, p):
@@ -945,49 +858,12 @@ def _fp_reduce(vec, span, p):
     return v
 
 
-def _fp_quotient_operator(opm, proj, span, n, p):
-    piv_cols, free = proj
+def _fp_quotient_operator(opm, free, span, p):
     out = []
     for c in free:
-        e = [0] * n
-        e[c] = 1
-        img = [sum(e[i] * opm[i][j] for i in range(n)) % p for j in range(n)]
-        img = _fp_reduce(img, span, p)
+        img = _fp_reduce(opm[c], span, p)  # image of the basis vector e_c
         out.append([img[f] for f in free])
     return out
-
-
-def _fp_nullspace(m, p):
-    n = len(m)
-    if n == 0:
-        return []
-    # vectors are rows: solve v * m = 0  <=> m^T v^T = 0
-    mt = [[m[i][j] for i in range(n)] for j in range(n)]
-    rows = [list(r) for r in mt]
-    r = 0
-    piv_cols = []
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(piv_cols):
-            v[pc] = (-rows[i][fc]) % p
-        basis.append(v)
-    return basis
 
 
 def _fp_intersect(a_rows, b_rows, p):
@@ -997,8 +873,7 @@ def _fp_intersect(a_rows, b_rows, p):
     n = len(a_rows[0])
     # x in span(a) ∩ span(b): x = u*A = v*B; solve [A^T | -B^T] kernel
     stacked = a_rows + [[-x % p for x in row] for row in b_rows]
-    mt = [[stacked[i][j] for i in range(len(stacked))] for j in range(n)]
-    ker = _fp_nullspace_rect(mt, p, len(stacked))
+    ker = _fp_kernel(_transpose(stacked, n), p, len(stacked))
     out = []
     for w in ker:
         u = w[: len(a_rows)]
@@ -1006,34 +881,4 @@ def _fp_intersect(a_rows, b_rows, p):
              for j in range(n)]
         if any(x):
             out.append(x)
-    return _fp_row_space(out, p)
-
-
-def _fp_nullspace_rect(m, p, nvars):
-    """Kernel vectors v (length nvars) with m @ v = 0, m is rows x nvars."""
-    rows = [[x % p for x in r] for r in m]
-    nrows = len(rows)
-    r = 0
-    piv_cols = []
-    for c in range(nvars):
-        piv = next((i for i in range(r, nrows) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(nvars) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [0] * nvars
-        v[fc] = 1
-        for i, pc in enumerate(piv_cols):
-            v[pc] = (-rows[i][fc]) % p
-        basis.append(v)
-    return basis
+    return _fp_rref(out, p)[0]

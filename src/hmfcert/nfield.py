@@ -305,14 +305,15 @@ def _default_galois(d: int, min_poly) -> tuple[tuple[int, ...], ...] | None:
         return ((0,),)
     if d == 2:
         return ((0, 1), (1, 0))
-    if d == 3:
-        # cyclic precisely when the discriminant is a perfect square
-        disc = _cubic_discriminant(min_poly)
-        if disc > 0:
-            r = math.isqrt(disc)
-            if r * r == disc:
-                return ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    if d == 3 and _cubic_is_cyclic(min_poly):
+        return ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     return None
+
+
+def _cubic_is_cyclic(min_poly) -> bool:
+    """An irreducible cubic is cyclic precisely when its discriminant is a square."""
+    disc = _cubic_discriminant(min_poly)
+    return disc > 0 and math.isqrt(disc) ** 2 == disc
 
 
 def _cubic_discriminant(p) -> int:
@@ -490,7 +491,9 @@ def make_field(coeffs, galois=None) -> Field:
 
     coeffs is low degree first.  Degree-2 fields default to the swap Galois
     group, cyclic cubics (square discriminant) to the 3-cycle group; other
-    degrees carry no Galois data unless supplied.
+    degrees carry no Galois data unless supplied.  Supplied data must be a
+    transitive permutation group, and on a cubic a group of order 3 needs a
+    square discriminant.
     """
     coeffs = [int(c) for c in coeffs]
     if len(coeffs) < 2:
@@ -513,6 +516,10 @@ def make_field(coeffs, galois=None) -> Field:
     if galois is not None:
         galois = tuple(tuple(int(i) for i in perm) for perm in galois)
         _validate_galois(galois, d)
+        if d == 3 and len(galois) == 3 and not _cubic_is_cyclic(coeffs):
+            raise ValueError(
+                "galois data of order 3 needs a cyclic cubic, but the discriminant "
+                f"{_cubic_discriminant(coeffs)} is not a square")
     else:
         galois = _default_galois(d, coeffs)
     return Field(min_poly=tuple(coeffs), embeddings=tuple(intervals),
@@ -839,20 +846,23 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
         assert val.denominator == 1
         return CertifiedInteger(int(val), Fraction(0))
 
+    exps = [e_on[t] if t in subset else e_off[t] for t in range(d)]
     bits = 64
     one = DyadicInterval(Fraction(1), Fraction(1))
     while bits <= precision_cap:
         try:
             embs = [embed(eps, i, bits) for i in range(d)]
+            powers = {(i, exp): embs[i].power(exp, bits)
+                      for i in range(d) for exp in set(exps)}
             total = one
             for g in group:
                 a = one
                 b = one
                 for t in range(d):
                     if t in subset:
-                        a = (a * embs[g[t]].power(e_on[t], bits)).round(bits)
+                        a = (a * powers[(g[t], exps[t])]).round(bits)
                     else:
-                        b = (b * embs[g[t]].power(e_off[t], bits)).round(bits)
+                        b = (b * powers[(g[t], exps[t])]).round(bits)
                 total = (total * (a - b)).round(bits)
         except ZeroDivisionError:
             bits *= 2

@@ -1,8 +1,12 @@
 """Integer factorization and primality helpers.
 
-Everything here is deterministic: Miller-Rabin uses a fixed witness set
-that is provably correct below 3.3 * 10**24, and Pollard rho is seeded
-from the input so identical inputs give identical factorizations.
+Everything here is deterministic.  Miller-Rabin with the prime witnesses
+2..41 is a proof of primality below psi_13 = 3317044064679887385961981,
+the least strong pseudoprime to all of them (Sorenson & Webster, Math.
+Comp. 2017).  From psi_13 on, a number must also pass sympy's BPSW test,
+so "prime" there means a probable prime: no BPSW pseudoprime is known,
+but none has been ruled out.  Pollard rho is seeded from the input so
+identical inputs give identical factorizations.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import math
 _TRIAL_BOUND = 10**6
 _RHO_CAP = 2**128
 
-# Deterministic Miller-Rabin witnesses, valid for n < 3_317_044_064_679_887_385_961_981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses, a proof of primality for n < _PSI_13.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 class FactorizationIncomplete(Exception):
@@ -27,9 +32,10 @@ class FactorizationIncomplete(Exception):
 
 
 def is_prime(n: int) -> bool:
+    """Proven below psi_13 (see the module docstring), BPSW-probable above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -47,6 +53,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        from sympy import isprime
+
+        return isprime(n)
     return True
 
 

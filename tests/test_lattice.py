@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hmfcert.lattice import (
     DegenerateSplit,
@@ -16,6 +17,7 @@ from hmfcert.lattice import (
     disc_pairing,
     find_congruences,
     hnf,
+    hnf_with_transform,
     in_row_span,
     left_kernel,
     localized_module_nonzero,
@@ -24,6 +26,7 @@ from hmfcert.lattice import (
     split_indices,
     split_lattice,
 )
+from hmfcert.lattice import _charpoly, _quotient_invariants, _solve
 
 
 class TestHnfSnf:
@@ -98,6 +101,66 @@ class TestHnfSnf:
         assert in_row_span([2, 7], basis)
         assert not in_row_span([0, 3], basis)
 
+    def test_hnf_with_transform_against_sympy(self):
+        rng = random.Random(6)
+        for trial in range(60):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            m = [[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)]
+            if trial % 3 == 0 and nr > 1:
+                # rank-deficient: a row is a combination of two others
+                m[-1] = [2 * a - 3 * b for a, b in zip(m[0], m[-2])]
+            h, u = hnf_with_transform(m)
+            assert h == hnf(m)
+            assert len(h) == sympy.Matrix(m).rank()
+            assert abs(sympy.Matrix(u).det()) == 1
+            um = sympy.Matrix(u) * sympy.Matrix(m)
+            zeros = [[0] * nc for _ in range(nr - len(h))]
+            assert um == sympy.Matrix([list(r) for r in h] + zeros)
+
+
+class TestSolve:
+    def test_against_sympy(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n, k = rng.randint(1, 6), rng.randint(1, 4)
+            a = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+            if sympy.Matrix(a).det() == 0:
+                continue
+            b = [[rng.randint(-30, 30) for _ in range(k)] for _ in range(n)]
+            d, y = _solve(a, b)
+            assert d != 0
+            assert sympy.Matrix(y) / d == sympy.Matrix(a).solve(sympy.Matrix(b))
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            _solve([[1, 2], [2, 4]], [[1], [0]])
+        with pytest.raises(ValueError, match="singular"):
+            _solve([[0, 0, 1], [0, 1, 0], [0, 3, 0]], [[1], [1], [1]])
+
+
+def test_charpoly_against_sympy():
+    rng = random.Random(8)
+    x = sympy.symbols("x")
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        want = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator)
+                                   for row in m for v in row]).charpoly(x)
+        got = _charpoly(m)
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == \
+            want.all_coeffs()[::-1]
+
+
+def test_quotient_invariants_rejects_non_sublattice():
+    # (1, 0)/2 is not in Z^2
+    with pytest.raises(ValueError, match="sublattice is not contained in ambient lattice"):
+        _quotient_invariants(((1, 0), (0, 1)), 2, ((1, 0), (0, 1)), 1)
+    # (1, 1) is not in the lattice spanned by (2, 0), (0, 1)
+    with pytest.raises(ValueError, match="sublattice is not contained in ambient lattice"):
+        _quotient_invariants(((1, 1), (0, 2)), 1, ((2, 0), (0, 1)), 1)
+    assert _quotient_invariants(((2, 0), (0, 3)), 1, ((1, 0), (0, 1)), 1) == (1, 6)
+
 
 class TestSplitLattice:
     def test_identity_lattice(self):
@@ -165,15 +228,15 @@ class TestCongruenceModule:
                 if bareiss_det(rows) != 0:
                     break
             lat = Lattice(tuple(tuple(r) for r in rows), n)
-            s = coordinate_split(n, d1)
-            for p in (2, 3, 5, 7):
-                cm = congruence_module(lat, s, p)
-                assert cm.three_way[0] == cm.three_way[1] == cm.three_way[2]
-            inner, outer = split_indices(lat, s)
-            full = 1
-            for f in _quotient_all_primes(lat, s):
-                full *= f
-            assert inner * outer == full * full
+            for s in (coordinate_split(n, d1), _oblique_split(rng, n, d1)):
+                for p in (2, 3, 5, 7):
+                    cm = congruence_module(lat, s, p)
+                    assert cm.three_way[0] == cm.three_way[1] == cm.three_way[2]
+                inner, outer = split_indices(lat, s)
+                full = 1
+                for f in _quotient_all_primes(lat, s):
+                    full *= f
+                assert inner * outer == full * full
 
     def test_order_squared_identity(self):
         lat = Lattice(((1, 1), (0, 5)), 2)
@@ -183,11 +246,20 @@ class TestCongruenceModule:
         assert inner * outer == cm.order ** 2
 
 
+def _oblique_split(rng, n, d1):
+    """A split of Q^n along random rational subspaces."""
+    while True:
+        rows = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+                for _ in range(n)]
+        try:
+            return Split(tuple(rows[:d1]), tuple(rows[d1:]))
+        except DegenerateSplit:
+            continue
+
+
 def _quotient_all_primes(lat, s):
     """Invariant factors of L^1/L_1 over all primes (via the middle quotient)."""
-    from hmfcert.lattice import _quotient_invariants, split_lattice as _sl
-
-    pieces = _sl(lat, s)
+    pieces = split_lattice(lat, s)
     return _quotient_invariants(pieces.l1, pieces.l1_denom,
                                 pieces.l1_proj, pieces.l1_proj_denom)
 

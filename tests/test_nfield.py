@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmfcert import nfield
 from hmfcert.nfield import (
     CertifiedInteger,
     DyadicInterval,
@@ -68,6 +69,13 @@ class TestMakeField:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             make_field([-5, 0, 2])
+
+    def test_three_cycle_on_non_galois_cubic_rejected(self):
+        # x^3 - 4x + 1 has discriminant 229, not a square: its group is S_3
+        with pytest.raises(ValueError, match="229"):
+            make_field([1, -4, 0, 1], galois=[[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        f = make_field([-1, -3, 0, 1], galois=[[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        assert f.galois == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class TestArithmetic:
@@ -292,6 +300,34 @@ class TestSymmetrizedNorm:
             v1 = symmetrized_norm(eps0, pj)
             v2 = symmetrized_difference_norm(eps0, e_on, e_off, subset)
             assert abs(v1.value) == abs(v2.value), mask
+
+
+    def test_difference_form_powers_once_per_round(self, monkeypatch):
+        # cyclic quintic Q(zeta_11)^+ with its Galois group, eps = x^2
+        f = make_field([1, 3, -3, -4, 1, 1],
+                       galois=[[0, 1, 2, 3, 4], [4, 2, 0, 1, 3], [3, 0, 4, 2, 1],
+                               [1, 4, 3, 0, 2], [2, 3, 1, 4, 0]])
+        eps = f.gen * f.gen
+        e_on, e_off, subset = (3, 1, 1, 1, 1), (0, -1, -1, -1, -1), {0, 1}
+        calls = {"power": 0, "embed": 0}
+        power, embed_ = DyadicInterval.power, nfield.embed
+
+        def counted_power(self, e, bits):
+            calls["power"] += 1
+            return power(self, e, bits)
+
+        def counted_embed(*args, **kwargs):
+            calls["embed"] += 1
+            return embed_(*args, **kwargs)
+
+        monkeypatch.setattr(DyadicInterval, "power", counted_power)
+        monkeypatch.setattr(nfield, "embed", counted_embed)
+        got = symmetrized_difference_norm(eps, e_on, e_off, subset)
+        assert isinstance(got, CertifiedInteger)
+        rounds = calls["embed"] // 5  # one embedding per root and round
+        distinct = len({e_on[t] if t in subset else e_off[t] for t in range(5)})
+        assert rounds >= 1
+        assert calls["power"] <= rounds * 5 * distinct
 
 
 class TestOrbitReduce:

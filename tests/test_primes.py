@@ -1,0 +1,22 @@
+import pytest
+
+from hmfcert.primes import factor, is_prime
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first twelve and the
+# first thirteen prime bases (Sorenson & Webster, Math. Comp. 2017)
+PSI_12 = (399165290221, 798330580441)
+PSI_13 = (1287836182261, 2575672364521)
+
+
+@pytest.mark.parametrize("p, q", [PSI_12, PSI_13])
+def test_strong_pseudoprimes_are_composite(p, q):
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q)
+    assert factor(p * q) == {p: 1, q: 1}
+
+
+def test_small_and_large_primes():
+    assert [n for n in range(50) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
