@@ -7,6 +7,22 @@ in the power basis; all arithmetic is exact.  Real embeddings are produced
 as dyadic intervals that provably contain the exact value, refined by
 bisection on the isolating interval of the corresponding root.
 
+A DyadicInterval is two integer mantissas over one power of two,
+[lo_m / 2^exp, hi_m / 2^exp], so interval arithmetic is integer
+arithmetic: a product multiplies mantissas and adds exponents, outward
+rounding is a floor or ceiling shift, inverse and sqrt are floor and
+ceiling divisions and isqrt.  Root bisection reads the sign of min_poly
+from an integer Horner at a mantissa, embed runs Horner on an element's
+integer numerators over one common denominator, and norm and trace read
+the integer matrix of multiplication by the element.
+
+make_field decides irreducibility without sympy when the polynomial has
+d <= 5 distinct real roots: by Gauss's lemma it is then reducible exactly
+when it has a monic integer factor of degree 1 or 2, whose roots are real,
+so refining the isolated roots until their sums and products are pinned
+to within 1 leaves few integer candidates r and (s, p), each tried by exact
+division by x - r or x^2 - s x + p.  Other inputs ask sympy.
+
 The certified kernel is symmetrized_norm: the integer
 prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 )
 obtained by adaptive precision escalation, with exact shortcuts where the
@@ -62,89 +78,156 @@ DEFAULT_PRECISION_CAP = 2**16
 # dyadic intervals
 
 
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.floor(x * scale), scale)
+def _dyadic_exp(q: Fraction) -> int:
+    """k with denominator 2^k; ValueError if q is not dyadic."""
+    den = q.denominator
+    if den & (den - 1):
+        raise ValueError(f"{q} is not a dyadic rational")
+    return den.bit_length() - 1
 
 
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.ceil(x * scale), scale)
+def _ceil_shift(m: int, k: int) -> int:
+    """ceil(m / 2^k) for k >= 0."""
+    return -((-m) >> k)
 
 
-@dataclass(frozen=True)
+def _interval(lo_m: int, hi_m: int, exp: int) -> "DyadicInterval":
+    """DyadicInterval from mantissas, unchecked (callers keep lo_m <= hi_m)."""
+    out = object.__new__(DyadicInterval)
+    out.lo_m = lo_m
+    out.hi_m = hi_m
+    out.exp = exp
+    return out
+
+
+def _mantissa_product(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Endpoints of [a, b] * [c, d] for integers a <= b, c <= d."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+    elif b <= 0:
+        if d <= 0:
+            return b * d, a * c
+        if c >= 0:
+            return a * d, b * c
+    prods = (a * c, a * d, b * c, b * d)
+    return min(prods), max(prods)
+
+
 class DyadicInterval:
-    """Closed interval [lo, hi] with dyadic rational endpoints."""
+    """Closed interval [lo_m / 2^exp, hi_m / 2^exp] with integer mantissas.
 
-    lo: Fraction
-    hi: Fraction
+    Built from dyadic endpoints as DyadicInterval(lo, hi); lo and hi read
+    them back as Fractions.  Instances are not modified after construction.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    __slots__ = ("lo_m", "hi_m", "exp")
+
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
             raise ValueError("empty interval")
+        lo_e, hi_e = _dyadic_exp(lo), _dyadic_exp(hi)
+        self.exp = max(lo_e, hi_e)
+        self.lo_m = lo.numerator << (self.exp - lo_e)
+        self.hi_m = hi.numerator << (self.exp - hi_e)
 
     @classmethod
     def from_fraction(cls, q: Fraction, bits: int | None = None) -> "DyadicInterval":
         q = Fraction(q)
-        if (q.denominator & (q.denominator - 1)) == 0:
-            return cls(q, q)
-        assert bits is not None
-        return cls(_round_down(q, bits), _round_up(q, bits))
+        den = q.denominator
+        if den & (den - 1) == 0:
+            return _interval(q.numerator, q.numerator, den.bit_length() - 1)
+        if bits is None:
+            raise ValueError(f"{q} is not dyadic and no precision was given")
+        num = q.numerator << bits
+        return _interval(num // den, -(-num // den), bits)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_m, 1 << self.exp)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_m, 1 << self.exp)
 
     @property
     def center(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_m + self.hi_m, 2 << self.exp)
 
     @property
     def radius(self) -> Fraction:
-        return (self.hi - self.lo) / 2
+        return Fraction(self.hi_m - self.lo_m, 2 << self.exp)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_m - self.lo_m, 1 << self.exp)
+
+    def __eq__(self, other):
+        if not isinstance(other, DyadicInterval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"DyadicInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
     def straddles_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self.lo_m <= 0 <= self.hi_m
 
     def sign(self) -> int | None:
         """+1, -1, or None if the interval contains 0."""
-        if self.lo > 0:
+        if self.lo_m > 0:
             return 1
-        if self.hi < 0:
+        if self.hi_m < 0:
             return -1
         return None
 
+    def _aligned(self, other) -> tuple[int, int, int, int, int]:
+        """(lo_m, hi_m, other.lo_m, other.hi_m, exp) over the finer exponent."""
+        k = self.exp - other.exp
+        if k >= 0:
+            return self.lo_m, self.hi_m, other.lo_m << k, other.hi_m << k, self.exp
+        return self.lo_m << -k, self.hi_m << -k, other.lo_m, other.hi_m, other.exp
+
     def __add__(self, other):
-        return DyadicInterval(self.lo + other.lo, self.hi + other.hi)
+        a, b, c, d, exp = self._aligned(other)
+        return _interval(a + c, b + d, exp)
 
     def __sub__(self, other):
-        return DyadicInterval(self.lo - other.hi, self.hi - other.lo)
+        a, b, c, d, exp = self._aligned(other)
+        return _interval(a - d, b - c, exp)
 
     def __neg__(self):
-        return DyadicInterval(-self.hi, -self.lo)
+        return _interval(-self.hi_m, -self.lo_m, self.exp)
 
     def __mul__(self, other):
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return DyadicInterval(min(prods), max(prods))
+        lo_m, hi_m = _mantissa_product(self.lo_m, self.hi_m, other.lo_m, other.hi_m)
+        return _interval(lo_m, hi_m, self.exp + other.exp)
 
     def round(self, bits: int) -> "DyadicInterval":
         """Outward rounding to the 2^-bits grid."""
-        return DyadicInterval(_round_down(self.lo, bits), _round_up(self.hi, bits))
+        k = self.exp - bits
+        if k <= 0:
+            return self
+        return _interval(self.lo_m >> k, _ceil_shift(self.hi_m, k), bits)
 
     def inverse(self, bits: int) -> "DyadicInterval":
         if self.straddles_zero():
             raise ZeroDivisionError("interval contains zero")
-        return DyadicInterval(_round_down(1 / self.hi, bits),
-                              _round_up(1 / self.lo, bits))
+        num = 1 << (self.exp + bits)
+        return _interval(num // self.hi_m, -(-num // self.lo_m), bits)
 
     def power(self, e: int, bits: int) -> "DyadicInterval":
         if e == 0:
-            one = Fraction(1)
-            return DyadicInterval(one, one)
+            return _interval(1, 1, 0)
         base = self if e > 0 else self.inverse(bits)
         out = base
         for _ in range(abs(e) - 1):
@@ -152,15 +235,26 @@ class DyadicInterval:
         return out
 
     def sqrt(self, bits: int) -> "DyadicInterval":
-        if self.lo < 0:
+        """[lo', hi'] on the 2^-bits grid with lo'^2 <= lo and hi <= hi'^2."""
+        if self.lo_m < 0:
             raise ValueError("interval extends below zero")
-        scale = 1 << (2 * bits)
-        lo_n = math.isqrt(math.floor(self.lo * scale))
-        hi_f = math.floor(self.hi * scale)
-        hi_n = math.isqrt(hi_f)
-        if hi_n * hi_n < hi_f:
+        k = 2 * bits - self.exp
+        if k >= 0:
+            lo_s, hi_s = self.lo_m << k, self.hi_m << k
+        else:
+            lo_s, hi_s = self.lo_m >> -k, _ceil_shift(self.hi_m, -k)
+        hi_n = math.isqrt(hi_s)
+        if hi_n * hi_n < hi_s:
             hi_n += 1
-        return DyadicInterval(Fraction(lo_n, 1 << bits), Fraction(hi_n, 1 << bits))
+        return _interval(math.isqrt(lo_s), hi_n, bits)
+
+    def pinned_integer(self) -> int | None:
+        """The integer inside when the width is < 1/2 and 0 is outside, else None."""
+        lo_m, hi_m, exp = self.lo_m, self.hi_m, self.exp
+        if (hi_m - lo_m) << 1 >= 1 << exp or lo_m <= 0 <= hi_m:
+            return None
+        n = _ceil_shift(lo_m, exp)
+        return n if n << exp <= hi_m else None
 
 
 @dataclass(frozen=True)
@@ -276,7 +370,7 @@ def _isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     p = [Fraction(c) for c in p]
     chain = _sturm_chain(p)
     bound = Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1]) if len(p) > 1 else Fraction(1)
-    bound = _round_up(bound, 0)
+    bound = Fraction(math.ceil(bound))
 
     out = []
 
@@ -294,6 +388,47 @@ def _isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
     recurse(-bound, bound, total)
     return out
+
+
+def _sign_at(p, m: int, exp: int) -> int:
+    """Sign of p(m / 2^exp) for integer p, by Horner on 2^(exp*d) * p(m / 2^exp)."""
+    acc = p[-1]
+    for k, c in enumerate(reversed(p[:-1]), 1):
+        acc = acc * m + (c << (exp * k))
+    return (acc > 0) - (acc < 0)
+
+
+def _bisection_start(p, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """(lo_m, hi_m, exp, sign of p at lo) for a dyadic isolating interval."""
+    iv = DyadicInterval(lo, hi)
+    sign_lo = _sign_at(p, iv.lo_m, iv.exp)
+    if sign_lo == 0:
+        # the endpoint is the root itself (a rational root, degree 1 only)
+        return iv.lo_m, iv.lo_m, iv.exp, 0
+    return iv.lo_m, iv.hi_m, iv.exp, sign_lo
+
+
+def _bisect(p, root, bits: int) -> tuple[int, int, int, int]:
+    """Halve root = (lo_m, hi_m, exp, sign_lo) until hi - lo <= 2^-bits.
+
+    Each step adds one bit to the exponent, so hi_m - lo_m stays fixed and
+    the number of steps is known in advance.
+    """
+    lo_m, hi_m, exp, sign_lo = root
+    gap = hi_m - lo_m
+    if gap == 0:
+        return root
+    while exp < bits + (gap - 1).bit_length():
+        mid = lo_m + hi_m
+        lo_m, hi_m, exp = lo_m << 1, hi_m << 1, exp + 1
+        s = _sign_at(p, mid, exp)
+        if s == 0:
+            return mid, mid, exp, sign_lo
+        if s == sign_lo:
+            lo_m = mid
+        else:
+            hi_m = mid
+    return lo_m, hi_m, exp, sign_lo
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +494,18 @@ class Field:
 
     # --- root refinement -------------------------------------------------
 
-    def _refined_root(self, idx: int, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Interval around root idx of width <= width, nested under refinement."""
-        lo, hi = self._root_cache.get(idx, self.embeddings[idx])
-        p = [Fraction(c) for c in self.min_poly]
-        s_lo = _poly_eval(p, lo)
-        if s_lo == 0:
-            # endpoint is the root itself (rational root, degree 1 only)
-            self._root_cache[idx] = (lo, lo)
-            return lo, lo
-        sign_lo = 1 if s_lo > 0 else -1
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = _poly_eval(p, mid)
-            if v == 0:
-                lo = hi = mid
-                break
-            if (1 if v > 0 else -1) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        self._root_cache[idx] = (lo, hi)
-        return lo, hi
+    def _refined_root(self, idx: int, bits: int) -> tuple[int, int, int]:
+        """Root idx as mantissas (lo_m, hi_m, exp) of width <= 2^-bits.
+
+        Successive calls continue one bisection of the isolating interval,
+        so the intervals returned for one root are nested.
+        """
+        root = self._root_cache.get(idx)
+        if root is None:
+            root = _bisection_start(self.min_poly, *self.embeddings[idx])
+        root = _bisect(self.min_poly, root, bits)
+        self._root_cache[idx] = root
+        return root[:3]
 
 
 @dataclass(frozen=True)
@@ -501,17 +626,17 @@ def make_field(coeffs, galois=None) -> Field:
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     d = len(coeffs) - 1
-    if d > 1:
-        import sympy
-
-        x = sympy.symbols("x")
-        poly = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
-        if not poly.is_irreducible:
-            raise NotIrreducible(f"{coeffs} has a rational factor")
     count = sturm_root_count(coeffs, *_root_bounds(coeffs))
+    intervals = _isolate_real_roots(coeffs) if count == d else None
+    if d > 1:
+        if intervals is not None and d <= 5:
+            reducible = _has_small_factor(coeffs, intervals)
+        else:
+            reducible = not _sympy_is_irreducible(coeffs)
+        if reducible:
+            raise NotIrreducible(f"{coeffs} has a rational factor")
     if count < d:
         raise NotTotallyReal(f"only {count} real roots for degree {d}")
-    intervals = _isolate_real_roots(coeffs)
     assert len(intervals) == d
     if galois is not None:
         galois = tuple(tuple(int(i) for i in perm) for perm in galois)
@@ -524,6 +649,59 @@ def make_field(coeffs, galois=None) -> Field:
         galois = _default_galois(d, coeffs)
     return Field(min_poly=tuple(coeffs), embeddings=tuple(intervals),
                  galois=galois, degree=d)
+
+
+def _sympy_is_irreducible(coeffs) -> bool:
+    import sympy
+
+    x = sympy.symbols("x")
+    return sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x).is_irreducible
+
+
+def _has_small_factor(p, intervals) -> bool:
+    """Whether p has a monic integer factor x - r or x^2 - s x + q.
+
+    All roots of p are real, simple and isolated by intervals.  The roots
+    are bisected until every root, and for d >= 4 every sum and product of
+    two roots, lies in an interval of width < 1, so each candidate r, s
+    and q is the one integer (if any) inside its interval.
+    """
+    d = len(p) - 1
+    roots = [_bisection_start(p, lo, hi) for lo, hi in intervals]
+    bits = 1
+    while True:
+        roots = [_bisect(p, r, bits) for r in roots]
+        ivs = [_interval(*r[:3]) for r in roots]
+        pairs = [(a + b, a * b) for a, b in itertools.combinations(ivs, 2)] if d >= 4 else []
+        if all(iv.width < 1 for iv in ivs + [x for pair in pairs for x in pair]):
+            break
+        bits *= 2
+    for iv in ivs:
+        for r in _integers_in(iv):
+            if _divides(p, [-r, 1]):
+                return True
+    for s_iv, q_iv in pairs:
+        for s in _integers_in(s_iv):
+            for q in _integers_in(q_iv):
+                if _divides(p, [q, -s, 1]):
+                    return True
+    return False
+
+
+def _integers_in(iv: DyadicInterval) -> range:
+    return range(_ceil_shift(iv.lo_m, iv.exp), (iv.hi_m >> iv.exp) + 1)
+
+
+def _divides(p, f) -> bool:
+    """Whether the monic integer polynomial f divides p (low degree first)."""
+    r = list(p)
+    k = len(f) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(k + 1):
+                r[i - k + j] -= c * f[j]
+    return not any(r[:k])
 
 
 def _root_bounds(p):
@@ -561,34 +739,39 @@ def _validate_galois(perms, d):
 # norms, traces, embeddings
 
 
-def mult_matrix(a: FieldElem):
-    """Matrix of multiplication by a in the power basis (rows = images)."""
-    d = a.field.degree
-    rows = []
-    basis_elem = a.field.one
-    gen = a.field.gen if d > 1 else None
-    cur = a
-    for i in range(d):
-        rows.append(list(cur.coeffs))
-        if i < d - 1:
-            cur = cur * gen
-    return rows
+def _integer_coords(a: FieldElem) -> tuple[int, list[int]]:
+    """(den, nums): a's coordinates are nums[i] / den, den > 0."""
+    den = math.lcm(*(c.denominator for c in a.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in a.coeffs]
+
+
+def _integer_mult_matrix(a: FieldElem) -> tuple[int, list[list[int]]]:
+    """(den, rows): rows / den is the matrix of multiplication by a.
+
+    Row i holds the power-basis coordinates of a * x^i; each row is the one
+    above shifted up a degree and reduced by the monic min_poly.
+    """
+    p = a.field.min_poly
+    den, row = _integer_coords(a)
+    rows = [row]
+    for _ in range(a.field.degree - 1):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, p)]
+        rows.append(row)
+    return den, rows
 
 
 def norm(a: FieldElem) -> Fraction:
     """Absolute norm down to Q (determinant of the multiplication matrix)."""
-    rows = mult_matrix(a)
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in row] for row in rows]
-    return Fraction(bareiss_det(int_rows), denom ** a.field.degree)
+    den, rows = _integer_mult_matrix(a)
+    return Fraction(bareiss_det(rows), den ** a.field.degree)
 
 
 def trace(a: FieldElem) -> Fraction:
-    rows = mult_matrix(a)
-    return sum(rows[i][i] for i in range(a.field.degree))
+    den, rows = _integer_mult_matrix(a)
+    return Fraction(sum(rows[i][i] for i in range(a.field.degree)), den)
 
 
 def embed(a: FieldElem, idx: int, precision_bits: int) -> DyadicInterval:
@@ -598,19 +781,27 @@ def embed(a: FieldElem, idx: int, precision_bits: int) -> DyadicInterval:
         raise ValueError("embedding index out of range")
     if a.is_rational():
         return DyadicInterval.from_fraction(a.coeffs[0], precision_bits + 1)
+    den, nums = _integer_coords(a)
+    _poly_trim(nums)
     slack = 4
-    target = Fraction(1, 1 << precision_bits)
     while True:
-        lo, hi = fld._refined_root(idx, Fraction(1, 1 << (precision_bits + slack)))
-        # exact interval Horner evaluation
-        acc_lo = acc_hi = Fraction(0)
-        for c in reversed(a.coeffs):
-            cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-            acc_lo, acc_hi = min(cands) + c, max(cands) + c
-        out = DyadicInterval(_round_down(acc_lo, precision_bits + slack),
-                            _round_up(acc_hi, precision_bits + slack))
-        if out.width <= target:
-            return out
+        bits = precision_bits + slack
+        lo_m, hi_m, exp = fld._refined_root(idx, bits)
+        # exact interval Horner on den * 2^(exp*k) * (partial sum after k steps)
+        acc_lo = acc_hi = nums[-1]
+        for k, n in enumerate(reversed(nums[:-1]), 1):
+            acc_lo, acc_hi = _mantissa_product(acc_lo, acc_hi, lo_m, hi_m)
+            acc_lo += n << (exp * k)
+            acc_hi += n << (exp * k)
+        # outward rounding of acc / (den * 2^(exp*k)) to the 2^-bits grid
+        shift = exp * (len(nums) - 1) - bits
+        if shift >= 0:
+            div = den << shift
+            out_lo, out_hi = acc_lo // div, -(-acc_hi // div)
+        else:
+            out_lo, out_hi = (acc_lo << -shift) // den, -((-acc_hi << -shift) // den)
+        if out_hi - out_lo <= 1 << slack:
+            return _interval(out_lo, out_hi, bits)
         slack *= 2
         if slack > 4 * DEFAULT_PRECISION_CAP:
             raise RuntimeError("embedding refinement failed to converge")
@@ -776,11 +967,10 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
             # an embedding interval still straddles zero: refine further
             bits *= 2
             continue
-        if iv.width < Fraction(1, 2) and not iv.straddles_zero():
-            lo_int = math.ceil(iv.lo)
-            if lo_int <= iv.hi:
-                return CertifiedInteger(lo_int, iv.width)
-            # no integer inside: inconsistent Galois data; keep escalating
+        value = iv.pinned_integer()
+        if value is not None:
+            return CertifiedInteger(value, iv.width)
+        # straddles 0, or no integer inside (inconsistent Galois data): escalate
         bits *= 2
     raise Indeterminate(precision_cap)
 
@@ -791,7 +981,7 @@ def _interval_product(eps, e, fld, group, bits):
     for i in range(fld.degree):
         for exp in set(e):
             powers[(i, exp)] = embs[i].power(exp, bits)
-    one = DyadicInterval(Fraction(1), Fraction(1))
+    one = _interval(1, 1, 0)
     total = one
     for g in group:
         factor = one
@@ -848,7 +1038,7 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
 
     exps = [e_on[t] if t in subset else e_off[t] for t in range(d)]
     bits = 64
-    one = DyadicInterval(Fraction(1), Fraction(1))
+    one = _interval(1, 1, 0)
     while bits <= precision_cap:
         try:
             embs = [embed(eps, i, bits) for i in range(d)]
@@ -867,10 +1057,9 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
         except ZeroDivisionError:
             bits *= 2
             continue
-        if total.width < Fraction(1, 2) and not total.straddles_zero():
-            lo_int = math.ceil(total.lo)
-            if lo_int <= total.hi:
-                return CertifiedInteger(lo_int, total.width)
+        value = total.pinned_integer()
+        if value is not None:
+            return CertifiedInteger(value, total.width)
         bits *= 2
     raise Indeterminate(precision_cap)
 

@@ -1,7 +1,13 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -443,3 +449,327 @@ class TestEmbedCacheOrder:
         lo = embed(a, 1, 8)
         assert lo.lo <= hi.lo and hi.hi <= lo.hi
         assert lo.width <= Fraction(1, 2**8)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the integer-mantissa kernels
+
+CYCLIC_QUINTIC = [1, 3, -3, -4, 1, 1]
+CYCLIC_QUINTIC_GALOIS = [[0, 1, 2, 3, 4], [4, 2, 0, 1, 3], [3, 0, 4, 2, 1],
+                         [1, 4, 3, 0, 2], [2, 3, 1, 4, 0]]
+
+
+def _down(x: Fraction, bits: int) -> Fraction:
+    return Fraction(math.floor(x * (1 << bits)), 1 << bits)
+
+
+def _up(x: Fraction, bits: int) -> Fraction:
+    return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
+
+
+class FracInterval:
+    """Reference interval arithmetic on Fraction endpoints."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+
+    @classmethod
+    def from_fraction(cls, q, bits):
+        q = Fraction(q)
+        if q.denominator & (q.denominator - 1) == 0:
+            return cls(q, q)
+        return cls(_down(q, bits), _up(q, bits))
+
+    def __add__(self, other):
+        return FracInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return FracInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        prods = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return FracInterval(min(prods), max(prods))
+
+    def round(self, bits):
+        return FracInterval(_down(self.lo, bits), _up(self.hi, bits))
+
+    def inverse(self, bits):
+        if self.lo <= 0 <= self.hi:
+            raise ZeroDivisionError
+        return FracInterval(_down(1 / self.hi, bits), _up(1 / self.lo, bits))
+
+    def power(self, e, bits):
+        if e == 0:
+            return FracInterval(1, 1)
+        base = self if e > 0 else self.inverse(bits)
+        out = base
+        for _ in range(abs(e) - 1):
+            out = (out * base).round(bits)
+        return out
+
+    def sqrt(self, bits):
+        scale = 1 << (2 * bits)
+        hi_c = math.ceil(self.hi * scale)
+        hi_n = math.isqrt(hi_c)
+        if hi_n * hi_n < hi_c:
+            hi_n += 1
+        return FracInterval(Fraction(math.isqrt(math.floor(self.lo * scale)), 1 << bits),
+                            Fraction(hi_n, 1 << bits))
+
+
+def _ref_root(fld, cache, idx, width):
+    """Bisection of the isolating interval on Fractions, continued across calls."""
+    lo, hi = cache.get(idx, fld.embeddings[idx])
+
+    def p(x):
+        return sum(c * x**i for i, c in enumerate(fld.min_poly))
+
+    sign_lo = p(lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if (p(mid) > 0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    cache[idx] = (lo, hi)
+    return lo, hi
+
+
+def _ref_embed(fld, cache, a, idx, bits):
+    """Interval Horner on Fractions over the reference root interval."""
+    if a.is_rational():
+        return FracInterval.from_fraction(a.coeffs[0], bits + 1)
+    slack = 4
+    while True:
+        lo, hi = _ref_root(fld, cache, idx, Fraction(1, 1 << (bits + slack)))
+        acc = FracInterval(0, 0)
+        for c in reversed(a.coeffs):
+            acc = acc * FracInterval(lo, hi) + FracInterval(c, c)
+        out = acc.round(bits + slack)
+        if out.hi - out.lo <= Fraction(1, 1 << bits):
+            return out
+        slack *= 2
+
+
+def _same(got, ref):
+    return (got.lo, got.hi) == (ref.lo, ref.hi)
+
+
+dyadics = st.builds(lambda m, e: Fraction(m, 1 << e),
+                    st.integers(-(2**90), 2**90), st.integers(0, 100))
+dyadic_pairs = st.tuples(dyadics, dyadics).map(sorted)
+
+
+class TestIntegerIntervalsAgainstFractions:
+    @given(dyadic_pairs, dyadic_pairs, st.integers(0, 120))
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_and_rounding(self, x, y, bits):
+        ix, iy = DyadicInterval(*x), DyadicInterval(*y)
+        rx, ry = FracInterval(*x), FracInterval(*y)
+        assert _same(ix, rx)
+        assert _same(ix + iy, rx + ry)
+        assert _same(ix - iy, rx - ry)
+        assert _same(-ix, FracInterval(-rx.hi, -rx.lo))
+        assert _same(ix * iy, rx * ry)
+        assert _same((ix * iy).round(bits), (rx * ry).round(bits))
+        assert ix.width == rx.hi - rx.lo
+        assert ix.center == (rx.lo + rx.hi) / 2
+        assert ix.straddles_zero() == (rx.lo <= 0 <= rx.hi)
+
+    @given(dyadic_pairs, st.integers(0, 120), st.integers(-5, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_and_power(self, x, bits, e):
+        ix, rx = DyadicInterval(*x), FracInterval(*x)
+        if rx.lo <= 0 <= rx.hi:
+            with pytest.raises(ZeroDivisionError):
+                ix.inverse(bits)
+            if e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    ix.power(e, bits)
+                return
+        else:
+            assert _same(ix.inverse(bits), rx.inverse(bits))
+        assert _same(ix.power(e, bits), rx.power(e, bits))
+
+    @given(st.fractions(), st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_from_fraction(self, q, bits):
+        assert _same(DyadicInterval.from_fraction(q, bits), FracInterval.from_fraction(q, bits))
+
+    @given(dyadic_pairs, st.integers(0, 120))
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt(self, x, bits):
+        x = [abs(v) for v in x]
+        x.sort()
+        ix = DyadicInterval(*x)
+        got = ix.sqrt(bits)
+        assert _same(got, FracInterval(*x).sqrt(bits))
+        assert got.lo ** 2 <= ix.lo and ix.hi <= got.hi ** 2
+
+    def test_sqrt_upper_end_is_sound(self):
+        got = DyadicInterval(Fraction(19, 4), Fraction(19, 4)).sqrt(0)
+        assert got.hi ** 2 >= Fraction(19, 4)
+        assert got.lo ** 2 <= Fraction(19, 4)
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        (Fraction(23, 8), Fraction(25, 8), 3),
+        (Fraction(-25, 8), Fraction(-23, 8), -3),
+        (Fraction(5, 2), Fraction(51, 16), None),   # width >= 1/2
+        (Fraction(17, 8), Fraction(19, 8), None),   # no integer inside
+        (Fraction(-1, 8), Fraction(1, 8), None),    # straddles 0
+        (Fraction(7), Fraction(7), 7),
+    ])
+    def test_pinned_integer(self, lo, hi, want):
+        assert DyadicInterval(lo, hi).pinned_integer() == want
+
+    def test_non_dyadic_endpoint_rejected(self):
+        with pytest.raises(ValueError):
+            DyadicInterval(Fraction(1, 3), Fraction(1))
+        with pytest.raises(ValueError):
+            DyadicInterval.from_fraction(Fraction(1, 3))
+
+    @pytest.mark.parametrize("poly,galois", [([1, -4, 0, 1], None),
+                                             (CYCLIC_QUINTIC, CYCLIC_QUINTIC_GALOIS)])
+    def test_embed_against_fraction_horner(self, poly, galois):
+        fld, ref_fld = make_field(poly, galois), make_field(poly, galois)
+        ref_cache = {}
+        rng = random.Random(31)
+        d = fld.degree
+        for _ in range(12):
+            a = fld.element([Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 5, 12]))
+                             for _ in range(d)])
+            for bits in rng.sample([8, 16, 33, 64, 100, 200, 333, 512], 4):
+                idx = rng.randrange(d)
+                got = embed(a, idx, bits)
+                assert _same(got, _ref_embed(ref_fld, ref_cache, a, idx, bits))
+                assert got.width <= Fraction(1, 1 << bits)
+
+    @pytest.mark.parametrize("poly", [[-5, 0, 1], [1, -4, 0, 1], [1, 0, -4, 0, 1],
+                                      CYCLIC_QUINTIC])
+    def test_norm_and_trace_against_sympy_det(self, poly):
+        fld = make_field(poly)
+        rng = random.Random(37)
+        for _ in range(8):
+            a = fld.element([Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7]))
+                             for _ in range(fld.degree)])
+            rows, cur = [], a
+            for _ in range(fld.degree):
+                rows.append([sympy.Rational(c.numerator, c.denominator) for c in cur.coeffs])
+                cur = cur * fld.gen
+            m = sympy.Matrix(rows)
+            assert norm(a) == Fraction(str(m.det()))
+            assert trace(a) == Fraction(str(m.trace()))
+
+
+class TestPinnedCertificates:
+    """Certified values and widths of the Fraction-endpoint implementation."""
+
+    def test_cyclic_quintic(self):
+        fld = make_field(CYCLIC_QUINTIC, galois=CYCLIC_QUINTIC_GALOIS)
+        eps = fld.gen * fld.gen
+        assert symmetrized_norm(eps, (3, 1, 0, -1, 2)) == CertifiedInteger(
+            -20339, Fraction(1054707, 2**64))
+        assert symmetrized_difference_norm(
+            eps, (3, 1, 1, 1, 1), (0, -1, -1, -1, -1), {0, 2}) == CertifiedInteger(
+            89, Fraction(45, 2**57))
+
+    def test_non_galois_cubic(self):
+        fld = make_field([1, -4, 0, 1])
+        eps = fld.gen * fld.gen
+        assert symmetrized_norm(eps, (5, 3, 1)) == CertifiedInteger(
+            -3693541, Fraction(7087767297, 2**61))
+        assert symmetrized_difference_norm(eps, (5, 3, 1), (0, -1, -3), {1}) == CertifiedInteger(
+            12845056, Fraction(440416007, 2**61))
+
+
+def _sympy_verdict(coeffs):
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
+    if not poly.is_irreducible:
+        return NotIrreducible
+    if poly.count_roots() < poly.degree():
+        return NotTotallyReal
+    return None
+
+
+def _make_field_verdict(coeffs):
+    try:
+        make_field(coeffs)
+    except (NotIrreducible, NotTotallyReal) as exc:
+        return type(exc)
+    return None
+
+
+def _poly_product(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+class TestIrreducibilityAgainstSympy:
+    def test_random_monic_polynomials(self):
+        rng = random.Random(41)
+        cubics = [[-1, -3, 0, 1], [1, -4, 0, 1], [1, -2, -1, 1], [-1, -4, 0, 1]]
+
+        def linear():
+            return [-rng.randint(-6, 6), 1]
+
+        def quadratic():
+            while True:
+                s, q = rng.randint(-6, 6), rng.randint(-9, 9)
+                if s * s > 4 * q:
+                    return [q, -s, 1]
+
+        polys = []
+        for _ in range(120):
+            d = rng.randint(2, 5)
+            polys.append([rng.randint(-7, 7) for _ in range(d)] + [1])
+        shapes = [(linear, linear), (linear, quadratic), (quadratic, quadratic),
+                  (linear, linear, linear), (linear, quadratic, quadratic),
+                  (quadratic, lambda: rng.choice(cubics)), (linear, lambda: rng.choice(cubics)),
+                  (linear, linear, lambda: rng.choice(cubics))]
+        for _ in range(120):
+            polys.append(_poly_product(*(f() for f in rng.choice(shapes))))
+        for _ in range(120):
+            roots = rng.sample(range(-6, 7), rng.randint(2, 5))
+            p = _poly_product(*([-r, 1] for r in roots))
+            p[0] += rng.choice([-3, -2, -1, 1, 2, 3])
+            polys.append(p)
+        seen = {NotIrreducible: 0, NotTotallyReal: 0, None: 0}
+        for p in polys:
+            want = _sympy_verdict(p)
+            assert _make_field_verdict(p) is want, p
+            seen[want] += 1
+        assert min(seen.values()) >= 40, seen
+
+
+def test_certify_path_imports_no_sympy():
+    script = textwrap.dedent(f"""
+        import sys
+        from fractions import Fraction
+
+        import hmfcert.cli
+        from hmfcert import criteria, nfield, weights
+
+        nfield.make_field([-5, 0, 1])
+        nfield.make_field([-1, -3, 0, 1])
+        nfield.make_field([1, 0, -4, 0, 1])
+        fld = nfield.make_field({CYCLIC_QUINTIC}, galois={CYCLIC_QUINTIC_GALOIS})
+        inputs = criteria.CertificationInputs(
+            field=fld, weight=weights.make_weight([4, 2, 2, 2, 2]), delta=11,
+            units=(fld.gen * fld.gen,))
+        report = criteria.certify(inputs)
+        assert report.irr.per_subset
+        print("sympy" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
