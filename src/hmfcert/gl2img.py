@@ -477,8 +477,11 @@ def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
 
     The derived subgroup must be a conjugate of SL2(F_q') with the same
     conjugation putting the whole group inside scalar multiples of
-    GL2(F_q').  The conjugating matrix is brute-forced over GL2 of the
-    ambient field (desk scale q <= 9).
+    GL2(F_q').  SL2(F_2) and SL2(F_3) are not perfect (their derived
+    subgroups are C3 and Q8), so for p <= 3 a group whose derived subgroup
+    has no SL2 order is searched for SL2(F_p) among its elements of
+    determinant one instead.  The conjugating matrix is brute-forced over
+    GL2 of the ambient field (desk scale q <= 9).
     """
     F = group.field
     elems = group.closure(cap)
@@ -490,7 +493,16 @@ def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
         if size == qp * (qp * qp - 1):
             q_cand = qp
             break
+    witness = derived
     if q_cand is None:
+        if F.p > 3:
+            return None
+        q_cand = F.p
+        witness = [m for m in elems if mat_det2(F, m) == 1]
+    # the witnesses that conjugate into SL2(F_q') form a subgroup of it,
+    # which is all of it when no more than misses_allowed of them fail
+    misses_allowed = len(witness) - q_cand * (q_cand * q_cand - 1)
+    if misses_allowed < 0:
         return None
     s = round(math.log(q_cand, F.p))
 
@@ -504,21 +516,23 @@ def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
                 return True
         return False
 
-    # candidate conjugators: all of GL2(F); early-exit on first failure
-    derived_list = sorted(derived)
+    # candidate conjugators: all of GL2(F); early exit once too many fail
+    witness_list = sorted(witness)
     elems_list = sorted(elems)
     for c in itertools.product(range(F.q), repeat=4):
         if mat_det2(F, c) == 0:
             continue
         ci = mat_inv2(F, c)
-        ok = True
-        for m in derived_list:
+        misses = 0
+        for m in witness_list:
             t = mat_mul2(F, mat_mul2(F, ci, m), c)
             if not in_subfield_mat(t) or mat_det2(F, t) != 1:
-                ok = False
-                break
-        if not ok:
+                misses += 1
+                if misses > misses_allowed:
+                    break
+        if misses > misses_allowed:
             continue
+        ok = True
         for m in elems_list:
             t = mat_mul2(F, mat_mul2(F, ci, m), c)
             if not is_scalar_multiple_of_subfield(t):

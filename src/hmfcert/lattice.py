@@ -3,8 +3,9 @@
 Integer matrices are tuples of tuples of ints, row vectors spanning the
 lattice.  The elimination core is integer-only: every rational solve goes
 through one fraction-free Gauss-Jordan (_solve), every Hermite form
-through hnf, and a rational lattice is an integer matrix with one common
-denominator.  fractions.Fraction appears only at the Split input, whose
+through hnf, or through _hnf_mod (modulo the determinant) when the matrix
+is square and nonsingular, and a rational lattice is an integer matrix
+with one common denominator.  fractions.Fraction appears only at the Split input, whose
 bases are cleared to integers once, and in the eigenvalue search of
 find_congruences, which works with operators restricted to those bases.
 The Bareiss fraction-free determinant kernel defined here is shared with
@@ -131,10 +132,7 @@ def _lowest_terms(m, den: int) -> tuple[IntMatrix, int]:
     Returns (m/g, den/g) with g = +-gcd(den, entries of m), signed so that
     den/g > 0: the pair _scale_to_int returns for m/den.
     """
-    g = den
-    for row in m:
-        for x in row:
-            g = math.gcd(g, x)
+    g = math.gcd(den, *(x for row in m for x in row))
     if den < 0:
         g = -g
     return _as_matrix(tuple(x // g for x in row) for row in m), den // g
@@ -194,6 +192,61 @@ def hnf_with_transform(m) -> tuple[IntMatrix, IntMatrix]:
     full = hnf(row + e for row, e in zip(a, _identity(len(a))))
     h = tuple(row[:ncols] for row in full if any(row[:ncols]))
     return h, tuple(row[ncols:] for row in full)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), for a, b >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
+def _hnf_mod(m, det: int) -> IntMatrix:
+    """hnf(m) of a square nonsingular integer matrix, in bounded integers.
+
+    det is a nonzero multiple of det(m).  The row span L contains R*Z^n for
+    R = |det|, so rows are combined modulo R.  Once the pivot g of a column
+    is fixed, the rest of L has a determinant dividing R/g, and R becomes
+    R/g (Domich, Kannan & Trotter 1987; Cohen, Alg. 2.4.8).
+    """
+    if not det:
+        raise ValueError("singular matrix")
+    r = abs(det)
+    n = len(m)
+    # a holds the rows still to be eliminated, restricted to columns >= i
+    a = [[x % r for x in row] for row in m]
+    h = []
+    for i in range(n):
+        piv = a[0]
+        rest = []
+        for row in a[1:]:
+            b = row[0]
+            if b:
+                g, u, v = _xgcd(piv[0], b)
+                x, y = piv[0] // g, b // g
+                piv, row = ([(u * s + v * t) % r for s, t in zip(piv, row)],
+                            [(x * t - y * s) % r for s, t in zip(piv, row)])
+            rest.append(row[1:])
+        # the pivot row is u*piv + v*R*e_i: pivot gcd(piv[0], R), rest mod R
+        g, u, _ = _xgcd(piv[0], r)
+        h.append([0] * i + [g] + [u * x % r for x in piv[1:]])
+        if g > 1:
+            r //= g
+            rest = [[x % r for x in row] for row in rest]
+        a = rest
+    # reduce above the pivots: bottom-up, and left to right within a row,
+    # so that a later subtraction never touches an entry already reduced
+    for k in range(n - 2, -1, -1):
+        hk = h[k]
+        for i in range(k + 1, n):
+            q = hk[i] // h[i][i]
+            if q:
+                hk[i:] = [x - q * y for x, y in zip(hk[i:], h[i][i:])]
+    return _as_matrix(h)
 
 
 def snf(m) -> tuple[int, ...]:
@@ -276,30 +329,6 @@ def snf(m) -> tuple[int, ...]:
     return tuple(result)
 
 
-def snf_minors_oracle(m) -> tuple[int, ...]:
-    """Independent Smith-form oracle via gcds of k x k minors (small only)."""
-    from itertools import combinations
-
-    a = _as_matrix(m)
-    nr, nc = len(a), len(a[0])
-    size = min(nr, nc)
-    dets_prev = 1
-    out = []
-    for k in range(1, size + 1):
-        g = 0
-        for rows in combinations(range(nr), k):
-            for cols in combinations(range(nc), k):
-                sub = [[a[i][j] for j in cols] for i in rows]
-                g = math.gcd(g, bareiss_det(sub))
-        if g == 0:
-            out += [0] * (size - len(out))
-            break
-        out.append(g // dets_prev)
-        dets_prev = g
-    out += [0] * (size - len(out))
-    return tuple(out)
-
-
 def left_kernel(m) -> IntMatrix:
     """Basis of {y integer row : y*M = 0}; saturated by construction."""
     h, u = hnf_with_transform(m)
@@ -334,7 +363,8 @@ class Lattice:
         for row in self.basis:
             if len(row) != self.ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
-        if len(hnf(self.basis)) != len(self.basis):
+        gram = mat_mul(self.basis, _transpose(self.basis, self.ambient_dim))
+        if not bareiss_det(gram):
             raise ValueError("basis rows are linearly dependent")
 
     @property
@@ -419,27 +449,23 @@ def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
     if lat.rank != n:
         raise DegenerateSplit("lattice is not full rank in V1 ⊕ V2")
     p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
-    # coords * P = basis: the coordinates of the basis rows in the (V1, V2)
-    # basis are coords = p_den * Y^T / d with P^T * Y = d * basis^T
+    # the coordinates of the basis rows in the (V1, V2) basis are
+    # p_den * Y^T / d with P^T * Y = d * basis^T; as L = -L, coords / |d|
+    # spans L too, and the denominators of the pieces stay positive
     d, y = _solve(_transpose(p, n), _transpose(lat.basis, n))
     coords = [[p_den * x for x in row] for row in zip(*y)]
-    d1 = s.dim1
-
-    def intersection(keep: slice, kill: slice):
-        ker = left_kernel([row[kill] for row in coords])
-        m, denom = _lowest_terms(mat_mul(ker, [row[keep] for row in coords]), d)
-        return hnf(m), denom
-
-    def projection(keep: slice):
-        m, denom = _lowest_terms([row[keep] for row in coords], d)
-        return hnf(m), denom
-
-    l1, l1_den = intersection(slice(0, d1), slice(d1, n))
-    l2, l2_den = intersection(slice(d1, n), slice(0, d1))
-    p1, p1_den = projection(slice(0, d1))
-    p2, p2_den = projection(slice(d1, n))
-    if len(p1) != d1 or len(p2) != n - d1:
-        raise DegenerateSplit("projection of L is not full rank in V_j")
+    d, d1, d2 = abs(d), s.dim1, s.dim2
+    det = bareiss_det(coords)
+    # In the Hermite form of coords with the V1 columns first, the first d1
+    # rows restricted to V1 are a basis of the projection L^1 and the other
+    # rows restricted to V2 a basis of L ∩ V2; with V2 first, the same for
+    # L^2 and L ∩ V1.  Blocks of a Hermite form are Hermite forms.
+    h1 = _hnf_mod(coords, det)
+    h2 = _hnf_mod([row[d1:] + row[:d1] for row in coords], det)
+    p1, p1_den = _lowest_terms([row[:d1] for row in h1[:d1]], d)
+    l2, l2_den = _lowest_terms([row[d1:] for row in h1[d1:]], d)
+    p2, p2_den = _lowest_terms([row[:d2] for row in h2[:d2]], d)
+    l1, l1_den = _lowest_terms([row[d2:] for row in h2[d2:]], d)
     return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den)
 
 
@@ -467,7 +493,8 @@ def _relation_matrix(sub, sub_den: int, amb, amb_den: int) -> IntMatrix:
 
 def _quotient_invariants(sub: IntMatrix, sub_den: int, amb: IntMatrix, amb_den: int):
     """Invariant factors of (amb/amb_den) / (sub/sub_den), both full rank."""
-    return snf(_relation_matrix(sub, sub_den, amb, amb_den))
+    x = _relation_matrix(sub, sub_den, amb, amb_den)
+    return snf(_hnf_mod(x, bareiss_det(x)))
 
 
 def _ambient_rows(s: Split, pieces) -> tuple[IntMatrix, int]:
@@ -512,11 +539,11 @@ class CongruenceModule:
         return out
 
 
-def congruence_module(lat: Lattice, s: Split, p: int) -> CongruenceModule:
-    """The finite module measuring failure of L to split along V1 ⊕ V2.
+def congruence_modules(lat: Lattice, s: Split, primes) -> tuple[CongruenceModule, ...]:
+    """The finite modules measuring failure of L to split along V1 ⊕ V2.
 
-    Computes all three quotients L^1/L_1, L/(L_1 ⊕ L_2), L^2/L_2 and
-    asserts their p-local invariant factors agree.
+    Computes the three quotients L^1/L_1, L/(L_1 ⊕ L_2), L^2/L_2 once and,
+    for each p in primes, asserts that their p-local invariant factors agree.
     """
     pieces = split_lattice(lat, s)
     q1 = _quotient_invariants(pieces.l1, pieces.l1_denom,
@@ -528,11 +555,19 @@ def congruence_module(lat: Lattice, s: Split, p: int) -> CongruenceModule:
                                        (pieces.l2, pieces.l2_denom)))
     qm = _quotient_invariants(sub_i, sub_den, lat.basis, 1)
 
-    locals_ = tuple(tuple(_p_part(f, p) for f in q if _p_part(f, p) != 1)
-                    for q in (q1, qm, q2))
-    if not (locals_[0] == locals_[1] == locals_[2]):
-        raise FusionMismatch(f"three-way quotients disagree at p={p}: {locals_}")
-    return CongruenceModule(p=p, invariant_factors=locals_[0], three_way=locals_)
+    out = []
+    for p in primes:
+        locals_ = tuple(tuple(_p_part(f, p) for f in q if _p_part(f, p) != 1)
+                        for q in (q1, qm, q2))
+        if not (locals_[0] == locals_[1] == locals_[2]):
+            raise FusionMismatch(f"three-way quotients disagree at p={p}: {locals_}")
+        out.append(CongruenceModule(p=p, invariant_factors=locals_[0], three_way=locals_))
+    return tuple(out)
+
+
+def congruence_module(lat: Lattice, s: Split, p: int) -> CongruenceModule:
+    """The congruence module of L along V1 ⊕ V2 at the prime p."""
+    return congruence_modules(lat, s, (p,))[0]
 
 
 def split_indices(lat: Lattice, s: Split) -> tuple[int, int]:

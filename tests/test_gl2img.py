@@ -176,6 +176,21 @@ class TestLiCheck:
         g = FqMatrixGroup(F, SL2_GENS + ((2, 0, 0, 1),))
         assert li_check(g) == 3
 
+    def test_sl2_f3(self):
+        # the derived subgroup of SL2(F_3) is Q8, not SL2(F_3)
+        assert li_check(FqMatrixGroup(Fq(3), SL2_GENS)) == 3
+
+    def test_sl2_f2(self):
+        # SL2(F_2) = GL2(F_2) = S3, whose derived subgroup is C3
+        assert li_check(FqMatrixGroup(Fq(2), SL2_GENS)) == 2
+        assert li_check(FqMatrixGroup(Fq(2, 2), SL2_GENS)) == 2
+
+    def test_proper_subgroups_of_sl2_f3_fail(self):
+        q8 = ((0, 1, 2, 0), (1, 1, 1, 2))
+        assert len(FqMatrixGroup(Fq(3), q8).closure()) == 8
+        assert li_check(FqMatrixGroup(Fq(3), q8)) is None
+        assert li_check(FqMatrixGroup(Fq(3), ((1, 1, 0, 1),))) is None
+
     def test_dihedral_fails(self):
         F = Fq(5)
         g = FqMatrixGroup(F, ((2, 0, 0, 1), (1, 0, 0, 2), (0, 1, 1, 0)))

@@ -1,8 +1,13 @@
+import math
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hmfcert.lattice import (
     DegenerateSplit,
@@ -11,8 +16,10 @@ from hmfcert.lattice import (
     NotStable,
     Split,
     SupportViolation,
+    FusionMismatch,
     bareiss_det,
     congruence_module,
+    congruence_modules,
     coordinate_split,
     disc_pairing,
     find_congruences,
@@ -22,11 +29,68 @@ from hmfcert.lattice import (
     left_kernel,
     localized_module_nonzero,
     snf,
-    snf_minors_oracle,
     split_indices,
     split_lattice,
 )
-from hmfcert.lattice import _charpoly, _quotient_invariants, _solve
+from hmfcert import lattice
+from hmfcert.lattice import (
+    SplitPieces,
+    _charpoly,
+    _hnf_mod,
+    _lowest_terms,
+    _p_part,
+    _quotient_invariants,
+    _scale_to_int,
+    _solve,
+    _transpose,
+    mat_mul,
+)
+
+
+def snf_minors_oracle(m) -> tuple[int, ...]:
+    """Independent Smith-form oracle via gcds of k x k minors (small only)."""
+    a = [tuple(r) for r in m]
+    nr, nc = len(a), len(a[0])
+    size = min(nr, nc)
+    dets_prev = 1
+    out = []
+    for k in range(1, size + 1):
+        g = 0
+        for rows in combinations(range(nr), k):
+            for cols in combinations(range(nc), k):
+                sub = [[a[i][j] for j in cols] for i in rows]
+                g = math.gcd(g, bareiss_det(sub))
+        if g == 0:
+            break
+        out.append(g // dets_prev)
+        dets_prev = g
+    out += [0] * (size - len(out))
+    return tuple(out)
+
+
+def split_lattice_via_kernels(lat, s):
+    """split_lattice by left kernels: L ∩ V_j is the kernel of the other
+    coordinates, and each piece is the Hermite form of its rows."""
+    n = lat.ambient_dim
+    p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
+    d, y = _solve(_transpose(p, n), _transpose(lat.basis, n))
+    coords = [[p_den * x for x in row] for row in zip(*y)]
+    d1 = s.dim1
+
+    def intersection(keep, kill):
+        ker = left_kernel([row[kill] for row in coords])
+        m, denom = _lowest_terms(mat_mul(ker, [row[keep] for row in coords]), d)
+        return hnf(m), denom
+
+    def projection(keep):
+        m, denom = _lowest_terms([row[keep] for row in coords], d)
+        return hnf(m), denom
+
+    l1, l1_den = intersection(slice(0, d1), slice(d1, n))
+    l2, l2_den = intersection(slice(d1, n), slice(0, d1))
+    p1, p1_den = projection(slice(0, d1))
+    p2, p2_den = projection(slice(d1, n))
+    return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den)
 
 
 class TestHnfSnf:
@@ -118,6 +182,60 @@ class TestHnfSnf:
             assert um == sympy.Matrix([list(r) for r in h] + zeros)
 
 
+def _unimodular(rng, n):
+    """A random unimodular n x n matrix: a product of elementary row operations."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            f = rng.randint(-3, 3)
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def _nonsingular(draw):
+    n = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([1, 2, 9, 10**6]))
+    m = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(bareiss_det(m) != 0)
+    return m
+
+
+class TestHnfMod:
+    @settings(max_examples=300, deadline=None)
+    @given(_nonsingular(), st.integers(1, 6), st.booleans())
+    def test_equals_hnf(self, m, k, negate):
+        det = k * bareiss_det(m) * (-1 if negate else 1)
+        assert _hnf_mod(m, det) == hnf(m)
+
+    def test_one_by_one(self):
+        for a in (-7, -1, 1, 12):
+            for k in (1, 3):
+                assert _hnf_mod([[a]], k * a) == hnf([[a]]) == ((abs(a),),)
+
+    def test_unimodular(self):
+        rng = random.Random(10)
+        for n in range(1, 7):
+            m = _unimodular(rng, n)
+            det = bareiss_det(m)
+            assert det in (1, -1)
+            assert _hnf_mod(m, det) == hnf(m) == tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def test_zero_pivot_column(self):
+        # every entry of the first column is a multiple of det: the pivot is det
+        m = [[6, 1], [0, 1]]
+        assert _hnf_mod(m, 6) == hnf(m) == ((6, 0), (0, 1))
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            _hnf_mod([[1, 2], [2, 4]], 0)
+
+
 class TestSolve:
     def test_against_sympy(self):
         rng = random.Random(7)
@@ -182,10 +300,31 @@ class TestSplitLattice:
         p = split_lattice(lat, s)
         assert p.l1 == ((2,),) and p.l1_proj == ((2,),)
 
+    def test_dependent_rows_rejected(self):
+        with pytest.raises(ValueError, match="basis rows are linearly dependent"):
+            Lattice(((1, 2, 3), (2, 4, 6)), 3)
+        with pytest.raises(ValueError, match="basis rows are linearly dependent"):
+            Lattice(((1, 0), (0, 1), (1, 1)), 2)
+        assert Lattice(((1, 2, 3), (0, 0, 1)), 3).rank == 2
+
     def test_rejects_rank_deficient(self):
         lat = Lattice(((1, 1, 0),), 3)
         with pytest.raises(DegenerateSplit):
             split_lattice(lat, coordinate_split(3, 1))
+
+    def test_matches_left_kernel_route(self):
+        rng = random.Random(11)
+        cases = 0
+        while cases < 120:
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+            if bareiss_det(rows) == 0:
+                continue
+            lat = Lattice(tuple(tuple(r) for r in rows), n)
+            d1 = rng.randint(0, n)
+            for s in (coordinate_split(n, d1), _oblique_split(rng, n, d1)):
+                assert split_lattice(lat, s) == split_lattice_via_kernels(lat, s)
+            cases += 1
 
     def test_oblique_split(self):
         lat = Lattice(((1, 0), (0, 1)), 2)
@@ -237,6 +376,56 @@ class TestCongruenceModule:
                 for f in _quotient_all_primes(lat, s):
                     full *= f
                 assert inner * outer == full * full
+
+    def test_modules_for_several_primes(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            while True:
+                rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
+                if bareiss_det(rows) != 0:
+                    break
+            lat = Lattice(tuple(tuple(r) for r in rows), n)
+            s = _oblique_split(rng, n, rng.randint(1, n - 1))
+            primes = (2, 3, 5, 7, 3)
+            assert congruence_modules(lat, s, primes) == \
+                tuple(congruence_module(lat, s, p) for p in primes)
+        assert congruence_modules(lat, s, ()) == ()
+
+    def test_three_way_check_runs_for_every_prime(self, monkeypatch):
+        lat = Lattice(((1, 1), (0, 30)), 2)
+        s = coordinate_split(2, 1)
+        real = lattice._quotient_invariants
+
+        def middle_off_at_five(sub, sub_den, amb, amb_den):
+            # the middle quotient L / (L1 ⊕ L2) is (30,): drop its 5-part
+            return (6,) if amb == lat.basis else real(sub, sub_den, amb, amb_den)
+
+        monkeypatch.setattr(lattice, "_quotient_invariants", middle_off_at_five)
+        assert [cm.invariant_factors for cm in congruence_modules(lat, s, (2, 3))] \
+            == [(2,), (3,)]
+        with pytest.raises(FusionMismatch, match="p=5"):
+            congruence_modules(lat, s, (2, 3, 5))
+        with pytest.raises(FusionMismatch, match="p=5"):
+            congruence_module(lat, s, 5)
+
+    def test_large_lattice_against_determinant_index(self):
+        # 24 x 24 lattice whose Smith form took seconds on unreduced integers
+        rng = random.Random(5)
+        rows = [[rng.randint(-100, 100) for _ in range(24)] for _ in range(24)]
+        lat = Lattice(tuple(tuple(r) for r in rows), 24)
+        s = coordinate_split(24, 12)
+        t0 = time.perf_counter()
+        cm = congruence_module(lat, s, 2)
+        assert time.perf_counter() - t0 < 2.0
+        pieces = split_lattice(lat, s)
+        vol1 = math.prod(row[i] for i, row in enumerate(pieces.l1))
+        vol2 = math.prod(row[i] for i, row in enumerate(pieces.l2))
+        assert pieces.l1_denom == pieces.l2_denom == 1
+        index, rem = divmod(vol1 * vol2, abs(bareiss_det(rows)))
+        assert rem == 0
+        assert cm.three_way[0] == cm.three_way[1] == cm.three_way[2]
+        assert cm.order == _p_part(index, 2)
 
     def test_order_squared_identity(self):
         lat = Lattice(((1, 1), (0, 5)), 2)
