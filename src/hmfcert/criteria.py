@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .nfield import (
     DEFAULT_PRECISION_CAP,
+    ZERO,
     DyadicInterval,
     Field,
     FieldElem,
     Indeterminate,
     Zero,
+    _certify,
+    _symmetrization_group,
     embed,
     embed_sign,
     is_totally_positive,
@@ -242,70 +243,6 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
     )
 
 
-def irr_fast_path_quadratic(inputs: CertificationInputs):
-    """Closed form for d = 2: primes dividing Nm((e^m1 - 1)(e^(k0-m1-1) - 1)).
-
-    Returns {unit_index: primes} unioned, for cross-checking the generic
-    engine; requires a non-parallel weight.
-    """
-    w = inputs.weight
-    if w.d != 2 or w.is_parallel:
-        raise ValueError("fast path requires d = 2 and non-parallel weight")
-    m1 = max(w.m)
-    agg: set[int] = set()
-    one = inputs.field.one
-    for eps in inputs.units:
-        val = norm((eps**m1 - one) * (eps ** (w.k0 - m1 - 1) - one))
-        assert val.denominator == 1
-        if val != 0:
-            agg.update(factor(int(val)))
-    return tuple(sorted(agg))
-
-
-def irr_fast_path_cubic(inputs: CertificationInputs,
-                        precision_cap: int | None = None):
-    """Four-factor closed form for a cyclic cubic field, certified by intervals."""
-    w = inputs.weight
-    fld = inputs.field
-    if w.d != 3 or fld.galois is None or len(fld.galois) != 3:
-        raise ValueError("fast path requires a cyclic cubic field")
-    cap = precision_cap or inputs.precision_cap
-    msorted = sorted(w.m)
-    if msorted[0] != 0 or msorted[2] == 0:
-        raise ValueError("weight must be non-parallel with m = (0, m1, m2)")
-    m1, m2 = msorted[1], msorted[2]
-    k0 = w.k0
-    cyc = next(g for g in fld.galois if g != (0, 1, 2))
-    exponent_pairs = ((m1, -m2), (m1, m2 + 1 - k0),
-                      (m1 + 1 - k0, m2), (k0 - m1 - 1, m2 + 1 - k0))
-    agg: set[int] = set()
-    for eps in inputs.units:
-        bits = 64
-        value = None
-        while bits <= cap:
-            try:
-                embs = [embed(eps, j, bits) for j in range(3)]
-                total = DyadicInterval(Fraction(1), Fraction(1))
-                for j in range(3):
-                    tau_j = cyc[j]
-                    for ea, eb in exponent_pairs:
-                        f = embs[tau_j].power(ea, bits) - embs[j].power(eb, bits)
-                        total = (total * f).round(bits)
-            except ZeroDivisionError:
-                bits *= 2
-                continue
-            if total.width < Fraction(1, 2) and not total.straddles_zero():
-                lo = math.ceil(total.lo)
-                if lo <= total.hi:
-                    value = lo
-                    break
-            bits *= 2
-        if value is None:
-            raise Indeterminate(cap)
-        agg.update(factor(value))
-    return tuple(sorted(agg))
-
-
 # ---------------------------------------------------------------------------
 # dihedral (non-CM) criterion
 
@@ -384,11 +321,12 @@ def dihedral_noncm_excluded(inputs: CertificationInputs, k_index: int) -> Criter
         status_note = ""
         unit_idx = None
         for i, pair in enumerate(kd.units):
-            outcome = _wreath_product_value(kd, pair, w, inputs.precision_cap)
-            if outcome == "zero":
-                continue
-            if outcome == "indeterminate":
+            try:
+                outcome = _wreath_product_value(kd, pair, w, inputs.precision_cap)
+            except Indeterminate:
                 status_note = "interval certification hit the precision cap"
+                continue
+            if isinstance(outcome, Zero):
                 continue
             value = outcome
             unit_idx = i
@@ -421,23 +359,25 @@ def dihedral_noncm_excluded(inputs: CertificationInputs, k_index: int) -> Criter
 
 
 def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
-    """Certified product over all assignments and group elements, or a tag."""
+    """Certified product over all assignments and group elements.
+
+    Returns an int, or ZERO when the unit lies in F and the exact value
+    vanishes; raises Indeterminate when no integer is pinned at the cap.
+    """
     fld = kd.delta.field
     d = fld.degree
     a, b = pair
+    group = _symmetrization_group(fld)
     if b.is_zero():
         # element of F: every embedding pair collapses; exact value
-        n = norm(a)
-        base = n ** (w.k0 - 1) - 1
+        base = norm(a) ** (w.k0 - 1) - 1
         if base == 0:
-            return "zero"
-        group = fld.galois or tuple(itertools.permutations(range(d)))
+            return ZERO
         total = base ** ((1 << d) * len(group))
         assert total.denominator == 1
         return int(total)
-    group = fld.galois or tuple(itertools.permutations(range(d)))
-    bits = 64
-    while bits <= cap:
+
+    def evaluate(bits):
         emb_a = [embed(a, j, bits) for j in range(d)]
         emb_b = [embed(b, j, bits) for j in range(d)]
         emb_sd = [embed(kd.delta, j, bits).sqrt(bits) for j in range(d)]
@@ -446,32 +386,19 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
             root = (emb_b[j] * emb_sd[j]).round(bits)
             emb[(j, 1)] = emb_a[j] + root
             emb[(j, -1)] = emb_a[j] - root
-        one = DyadicInterval(Fraction(1), Fraction(1))
+        one = DyadicInterval(1, 1)
         total = one
-        ok = True
         for signs in itertools.product((1, -1), repeat=d):
             for g in group:
                 f = one
                 for t in range(d):
-                    j = g[t]
-                    try:
-                        up = emb[(j, signs[t])].power(w.m[t], bits)
-                        dn = emb[(j, -signs[t])].power(w.k0 - w.m[t] - 1, bits)
-                    except ZeroDivisionError:
-                        ok = False
-                        break
+                    up = emb[(g[t], signs[t])].power(w.m[t], bits)
+                    dn = emb[(g[t], -signs[t])].power(w.k0 - w.m[t] - 1, bits)
                     f = (f * up * dn).round(bits)
-                if not ok:
-                    break
                 total = (total * (f - one)).round(bits)
-            if not ok:
-                break
-        if ok and total.width < Fraction(1, 2) and not total.straddles_zero():
-            lo = math.ceil(total.lo)
-            if lo <= total.hi:
-                return lo
-        bits *= 2
-    return "indeterminate"
+        return total
+
+    return _certify(evaluate, cap).value
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,6 @@ class FqMatrixGroup:
         return self._closure
 
 
-def closure(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> frozenset:
-    return group.closure(cap)
-
-
 # ---------------------------------------------------------------------------
 # classification
 

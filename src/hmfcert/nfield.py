@@ -24,9 +24,12 @@ to within 1 leaves few integer candidates r and (s, p), each tried by exact
 division by x - r or x^2 - s x + p.  Other inputs ask sympy.
 
 The certified kernel is symmetrized_norm: the integer
-prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 )
-obtained by adaptive precision escalation, with exact shortcuts where the
-value is rational.
+prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 ),
+and its two-product form symmetrized_difference_norm.  Both share one
+body, exact where eps is rational or the field is quadratic; elsewhere the
+integer comes from _certify, the one precision-escalation driver, which
+doubles the bits of an interval evaluation from 64 up to the cap until the
+interval pins an integer.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ class UnsupportedDegree(Exception):
 
 
 class Indeterminate(Exception):
-    """Interval certification hit the escalation cap while straddling 0."""
+    """Interval certification reached the escalation cap without pinning an
+    integer: the last interval straddled 0, was 1/2 or wider, or held no
+    integer (as inconsistent Galois data can make it)."""
 
     def __init__(self, max_bits: int):
         super().__init__(f"indeterminate after escalating to {max_bits} bits")
@@ -915,7 +920,7 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     the true norm; divisibility remains a sound exclusion certificate).
 
     Returns a CertifiedInteger, the Zero sentinel (only on an exact proof),
-    or raises Indeterminate when the interval still straddles 0 at the cap.
+    or raises Indeterminate when no integer is pinned at the cap.
     """
     fld = fld or eps.field
     e = tuple(int(x) for x in e)
@@ -930,15 +935,6 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     if all(x == 0 for x in e):
         return ZERO
 
-    # exact path: rational unit (+-1)
-    if eps.is_rational():
-        r = eps.as_rational()
-        val = r ** sum(e) - 1
-        if val == 0:
-            return ZERO
-        prod = val ** len(group)
-        return CertifiedInteger(int(prod), Fraction(0))
-
     # exact path: constant exponent vector; each factor is norm(eps)^c - 1
     if len(set(e)) == 1:
         c = e[0]
@@ -949,46 +945,7 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
         assert prod.denominator == 1
         return CertifiedInteger(int(prod), Fraction(0))
 
-    # exact path: quadratic field; the product is a norm from the field
-    if d == 2:
-        u = eps ** e[0] * _conjugate_quadratic(eps) ** e[1]
-        val = norm(u - fld.one)
-        if val == 0:
-            return ZERO
-        assert val.denominator == 1
-        return CertifiedInteger(int(val), Fraction(0))
-
-    # interval certification with escalating precision
-    bits = 64
-    while bits <= precision_cap:
-        try:
-            iv = _interval_product(eps, e, fld, group, bits)
-        except ZeroDivisionError:
-            # an embedding interval still straddles zero: refine further
-            bits *= 2
-            continue
-        value = iv.pinned_integer()
-        if value is not None:
-            return CertifiedInteger(value, iv.width)
-        # straddles 0, or no integer inside (inconsistent Galois data): escalate
-        bits *= 2
-    raise Indeterminate(precision_cap)
-
-
-def _interval_product(eps, e, fld, group, bits):
-    embs = [embed(eps, i, bits) for i in range(fld.degree)]
-    powers: dict[tuple[int, int], DyadicInterval] = {}
-    for i in range(fld.degree):
-        for exp in set(e):
-            powers[(i, exp)] = embs[i].power(exp, bits)
-    one = _interval(1, 1, 0)
-    total = one
-    for g in group:
-        factor = one
-        for tau, exp in enumerate(e):
-            factor = (factor * powers[(g[tau], exp)]).round(bits)
-        total = (total * (factor - one)).round(bits)
-    return total
+    return _symmetrized(eps, e, range(d), fld, group, precision_cap)
 
 
 def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
@@ -1004,64 +961,85 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
     two certified integers agree up to sign.
     """
     fld = fld or eps.field
-    d = fld.degree
     subset = frozenset(subset)
     group = _symmetrization_group(fld)
     if abs(norm(eps)) != 1:
         raise ValueError("requires a unit")
+    exps = [e_on[t] if t in subset else e_off[t] for t in range(fld.degree)]
+    return _symmetrized(eps, exps, subset, fld, group, precision_cap)
 
+
+def _symmetrized(eps, e, subset, fld, group, cap):
+    """prod_{g in group}(prod_{t in J} emb_{g(t)}(eps)^e_t
+                          - prod_{t not in J} emb_{g(t)}(eps)^e_t), J = subset.
+
+    Exact when eps is rational (+-1) or the field is quadratic, where the
+    product is the norm of a - b; certified by _certify over intervals
+    otherwise.
+    """
+    d = fld.degree
     if eps.is_rational():
         r = eps.as_rational()
-        a = r ** sum(e_on[t] for t in subset)
-        b = r ** sum(e_off[t] for t in range(d) if t not in subset)
-        val = a - b
+        val = (r ** sum(e[t] for t in range(d) if t in subset)
+               - r ** sum(e[t] for t in range(d) if t not in subset))
         if val == 0:
             return ZERO
-        prod = val ** len(group)
-        return CertifiedInteger(int(prod), Fraction(0))
+        return CertifiedInteger(int(val ** len(group)), Fraction(0))
 
     if d == 2:
-        conj = _conjugate_quadratic(eps)
-        parts = [eps, conj]
-        a = fld.one
-        b = fld.one
+        parts = (eps, _conjugate_quadratic(eps))
+        a = b = fld.one
         for t in range(2):
             if t in subset:
-                a = a * parts[t] ** e_on[t]
+                a = a * parts[t] ** e[t]
             else:
-                b = b * parts[t] ** e_off[t]
+                b = b * parts[t] ** e[t]
         val = norm(a - b)
         if val == 0:
             return ZERO
         assert val.denominator == 1
         return CertifiedInteger(int(val), Fraction(0))
 
-    exps = [e_on[t] if t in subset else e_off[t] for t in range(d)]
-    bits = 64
+    return _certify(lambda bits: _interval_product(eps, e, subset, fld, group, bits), cap)
+
+
+def _interval_product(eps, e, subset, fld, group, bits):
+    embs = [embed(eps, i, bits) for i in range(fld.degree)]
+    powers = {(i, exp): embs[i].power(exp, bits)
+              for i in range(fld.degree) for exp in set(e)}
     one = _interval(1, 1, 0)
-    while bits <= precision_cap:
+    total = one
+    for g in group:
+        a = b = one
+        for t, exp in enumerate(e):
+            if t in subset:
+                a = (a * powers[(g[t], exp)]).round(bits)
+            else:
+                b = (b * powers[(g[t], exp)]).round(bits)
+        total = (total * (a - b)).round(bits)
+    return total
+
+
+def _certify(evaluate, cap: int) -> CertifiedInteger:
+    """The integer pinned by evaluate(bits) at 64, 128, ... bits up to cap.
+
+    evaluate returns an interval around the exact integer.  A
+    ZeroDivisionError (an inverted interval still holds 0) or an interval
+    that pins no integer asks for twice the bits; past cap this raises
+    Indeterminate(cap).
+    """
+    bits = 64
+    while bits <= cap:
         try:
-            embs = [embed(eps, i, bits) for i in range(d)]
-            powers = {(i, exp): embs[i].power(exp, bits)
-                      for i in range(d) for exp in set(exps)}
-            total = one
-            for g in group:
-                a = one
-                b = one
-                for t in range(d):
-                    if t in subset:
-                        a = (a * powers[(g[t], exps[t])]).round(bits)
-                    else:
-                        b = (b * powers[(g[t], exps[t])]).round(bits)
-                total = (total * (a - b)).round(bits)
+            iv = evaluate(bits)
         except ZeroDivisionError:
             bits *= 2
             continue
-        value = total.pinned_integer()
+        value = iv.pinned_integer()
         if value is not None:
-            return CertifiedInteger(value, total.width)
+            return CertifiedInteger(value, iv.width)
         bits *= 2
-    raise Indeterminate(precision_cap)
+    raise Indeterminate(cap)
 
 
 # ---------------------------------------------------------------------------

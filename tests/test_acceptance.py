@@ -32,7 +32,6 @@ from hmfcert.lattice import (
     congruence_module,
     coordinate_split,
     find_congruences,
-    localized_module_nonzero,
 )
 from hmfcert.modform import (
     AdjointInputs,
@@ -55,6 +54,8 @@ from hmfcert.weights import (
     p_of,
     prime_bounds,
 )
+
+from lattice_oracles import localized_module_nonzero
 
 
 def _report(name: str, elapsed: float):

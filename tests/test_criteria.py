@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,85 @@ from hmfcert.criteria import (
     certify,
     dihedral_noncm_excluded,
     irr_excluded_primes,
-    irr_fast_path_cubic,
-    irr_fast_path_quadratic,
 )
 from hmfcert.nfield import (
+    DyadicInterval,
+    Indeterminate,
+    embed,
     fundamental_unit_quadratic,
     make_field,
+    norm,
     totally_positive_fundamental,
 )
+from hmfcert.primes import factor
 from hmfcert.weights import make_weight, subset_label
+
+
+def irr_fast_path_quadratic(inputs: CertificationInputs):
+    """Closed form for d = 2: primes dividing Nm((e^m1 - 1)(e^(k0-m1-1) - 1)).
+
+    Returns the primes of every unit, an oracle for the generic engine;
+    requires a non-parallel weight.
+    """
+    w = inputs.weight
+    if w.d != 2 or w.is_parallel:
+        raise ValueError("fast path requires d = 2 and non-parallel weight")
+    m1 = max(w.m)
+    agg: set[int] = set()
+    one = inputs.field.one
+    for eps in inputs.units:
+        val = norm((eps**m1 - one) * (eps ** (w.k0 - m1 - 1) - one))
+        assert val.denominator == 1
+        if val != 0:
+            agg.update(factor(int(val)))
+    return tuple(sorted(agg))
+
+
+def irr_fast_path_cubic(inputs: CertificationInputs):
+    """Four-factor closed form for a cyclic cubic field, certified by intervals.
+
+    Its escalation loop is written out here, apart from the library's, so
+    that the oracle shares no certification code with the engine.
+    """
+    w = inputs.weight
+    fld = inputs.field
+    if w.d != 3 or fld.galois is None or len(fld.galois) != 3:
+        raise ValueError("fast path requires a cyclic cubic field")
+    cap = inputs.precision_cap
+    msorted = sorted(w.m)
+    if msorted[0] != 0 or msorted[2] == 0:
+        raise ValueError("weight must be non-parallel with m = (0, m1, m2)")
+    m1, m2 = msorted[1], msorted[2]
+    k0 = w.k0
+    cyc = next(g for g in fld.galois if g != (0, 1, 2))
+    exponent_pairs = ((m1, -m2), (m1, m2 + 1 - k0),
+                      (m1 + 1 - k0, m2), (k0 - m1 - 1, m2 + 1 - k0))
+    agg: set[int] = set()
+    for eps in inputs.units:
+        bits = 64
+        value = None
+        while bits <= cap:
+            try:
+                embs = [embed(eps, j, bits) for j in range(3)]
+                total = DyadicInterval(Fraction(1), Fraction(1))
+                for j in range(3):
+                    tau_j = cyc[j]
+                    for ea, eb in exponent_pairs:
+                        f = embs[tau_j].power(ea, bits) - embs[j].power(eb, bits)
+                        total = (total * f).round(bits)
+            except ZeroDivisionError:
+                bits *= 2
+                continue
+            if total.width < Fraction(1, 2) and not total.straddles_zero():
+                lo = math.ceil(total.lo)
+                if lo <= total.hi:
+                    value = lo
+                    break
+            bits *= 2
+        if value is None:
+            raise Indeterminate(cap)
+        agg.update(factor(value))
+    return tuple(sorted(agg))
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +277,37 @@ class TestDihedral:
                                      precision_cap=512)
         rep = dihedral_noncm_excluded(inputs, 0)
         assert all(st.kind == "indeterminate" for _, st in rep.per_subset)
+
+    @pytest.mark.parametrize("k, value, primes", [
+        ((6, 4, 2), 2687832743450974656340378342003908507835826176, (2, 7, 199, 239)),
+        ((4, 2, 2), 1103060965837930140591456256, (2, 7, 41)),
+    ])
+    def test_non_galois_cubic_values(self, k, value, primes):
+        # x^3 - 4x + 1 has no Galois data, so the product runs over
+        # 8 sign assignments times S_3 on intervals
+        f = make_field([1, -4, 0, 1])
+        kd = QuadExtDescription(delta=f.element([2]), units=((f.one, f.one),),
+                                label="Fsqrt2")
+        inputs = CertificationInputs(field=f, weight=make_weight(list(k)), delta=1,
+                                     units=(f.gen * f.gen,), quadratic_extensions=(kd,))
+        rep = dihedral_noncm_excluded(inputs, 0)
+        assert [mask for mask, _ in rep.per_subset] == list(range(8))
+        for _, st in rep.per_subset:
+            assert (st.kind, st.value, st.primes, st.unit_index) == \
+                ("excludes", value, primes, 0)
+        assert rep.aggregate == primes
+
+    def test_non_galois_cubic_indeterminate_below_needed_bits(self):
+        f = make_field([1, -4, 0, 1])
+        kd = QuadExtDescription(delta=f.element([2]), units=((f.one, f.one),),
+                                label="Fsqrt2")
+        inputs = CertificationInputs(field=f, weight=make_weight([6, 4, 2]), delta=1,
+                                     units=(f.gen * f.gen,), quadratic_extensions=(kd,),
+                                     precision_cap=64)
+        rep = dihedral_noncm_excluded(inputs, 0)
+        for _, st in rep.per_subset:
+            assert st.kind == "indeterminate"
+            assert st.note == "interval certification hit the precision cap"
 
 
 class TestCertify:

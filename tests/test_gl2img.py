@@ -10,7 +10,6 @@ from hmfcert.gl2img import (
     SizeOverflow,
     TameChar,
     classify_projective_image,
-    closure,
     li_check,
     mat_det2,
     mat_id2,
@@ -66,21 +65,21 @@ class TestFq:
 class TestClosure:
     def test_empty(self):
         F = Fq(3)
-        assert closure(FqMatrixGroup(F, ())) == {mat_id2(F)}
+        assert FqMatrixGroup(F, ()).closure() == {mat_id2(F)}
 
     def test_sl2_f3(self):
         F = Fq(3)
-        assert len(closure(FqMatrixGroup(F, SL2_GENS))) == 24
+        assert len(FqMatrixGroup(F, SL2_GENS).closure()) == 24
 
     def test_split_torus(self):
         F = Fq(5)
         g = FqMatrixGroup(F, ((2, 0, 0, 1), (1, 0, 0, 2)))
-        assert len(closure(g)) == 16
+        assert len(g.closure()) == 16
 
     def test_cap_exceeded(self):
         F = Fq(7)
         with pytest.raises(CapExceeded):
-            closure(FqMatrixGroup(F, SL2_GENS), cap=100)
+            FqMatrixGroup(F, SL2_GENS).closure(cap=100)
 
     def test_singular_generator_rejected(self):
         F = Fq(5)

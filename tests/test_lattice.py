@@ -27,9 +27,7 @@ from hmfcert.lattice import (
     hnf_with_transform,
     in_row_span,
     left_kernel,
-    localized_module_nonzero,
     snf,
-    split_indices,
     split_lattice,
 )
 from hmfcert import lattice
@@ -45,6 +43,8 @@ from hmfcert.lattice import (
     _transpose,
     mat_mul,
 )
+
+from lattice_oracles import localized_module_nonzero, split_indices
 
 
 def snf_minors_oracle(m) -> tuple[int, ...]:
@@ -501,6 +501,25 @@ class TestFindCongruences:
         lat = Lattice(((1, 1), (0, 5)), 2)
         with pytest.raises(NotStableOrSplit):
             find_congruences([((1, 0), (1, 1))], lat, coordinate_split(2, 1), 5)
+
+    def test_stability_check_makes_one_hermite_form(self, monkeypatch):
+        # Z^6 glued along e0 + e3 and 5 e3; two commuting diagonal operators
+        rows = [[int(i == j) for j in range(6)] for i in range(6)]
+        rows[0][3], rows[3][3] = 1, 5
+        lat = Lattice(tuple(tuple(r) for r in rows), 6)
+        ops = [tuple(tuple(v if i == j else 0 for j in range(6)) for i, v in enumerate(vals))
+               for vals in ((2, 1, 1, 7, 1, 1), (1, 3, 1, 1, 3, 1))]
+        real = lattice.hnf
+        forms = []
+
+        def counting_hnf(m):
+            forms.append(m)
+            return real(m)
+
+        monkeypatch.setattr(lattice, "hnf", counting_hnf)
+        res = find_congruences(ops, lat, coordinate_split(6, 3), 5)
+        assert ((2, 1), (7, 1)) in [(e1.values, e2.values) for e1, e2 in res.pairs]
+        assert sum(1 for m in forms if m == lat.basis) == 1
 
     def test_extension_needed_counts(self):
         # rotation-like operator with irrational eigenvalues on V1+V2... use

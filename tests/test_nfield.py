@@ -21,6 +21,7 @@ from hmfcert.nfield import (
     NotTotallyReal,
     UnsupportedDegree,
     Zero,
+    _certify,
     embed,
     embed_sign,
     fundamental_unit_quadratic,
@@ -680,6 +681,73 @@ class TestPinnedCertificates:
             -3693541, Fraction(7087767297, 2**61))
         assert symmetrized_difference_norm(eps, (5, 3, 1), (0, -1, -3), {1}) == CertifiedInteger(
             12845056, Fraction(440416007, 2**61))
+
+
+
+class TestCertifyDriver:
+    """_certify doubles the bits from 64 to the cap and accepts the first pin."""
+
+    NOT_PINNED = {
+        "zero_division": None,
+        "straddles_zero": (Fraction(-1, 8), Fraction(1, 8)),
+        "no_integer": (Fraction(5, 4), Fraction(3, 2)),
+        "too_wide": (Fraction(2), Fraction(5, 2)),
+    }
+
+    @pytest.mark.parametrize("failure", sorted(NOT_PINNED))
+    @pytest.mark.parametrize("cap, rounds", [(64, 1), (1024, 5), (1000, 4), (32, 0)])
+    def test_escalates_to_cap(self, failure, cap, rounds):
+        calls = []
+
+        def evaluate(bits):
+            calls.append(bits)
+            if failure == "zero_division":
+                raise ZeroDivisionError("interval contains zero")
+            return DyadicInterval(*self.NOT_PINNED[failure])
+
+        with pytest.raises(Indeterminate) as exc:
+            _certify(evaluate, cap)
+        assert exc.value.max_bits == cap
+        assert calls == [64 << i for i in range(rounds)]
+
+    def test_accepts_first_pinned_interval(self):
+        calls = []
+
+        def evaluate(bits):
+            calls.append(bits)
+            if bits == 64:
+                raise ZeroDivisionError("interval contains zero")
+            if bits == 128:
+                return DyadicInterval(Fraction(-1, 4), Fraction(1, 4))
+            return DyadicInterval(Fraction(-7) - Fraction(1, 2**bits),
+                                  Fraction(-7) + Fraction(1, 2**bits))
+
+        assert _certify(evaluate, 2**16) == CertifiedInteger(-7, Fraction(2, 2**256))
+        assert calls == [64, 128, 256]
+
+
+class TestSingleProductIsDifferenceForm:
+    """symmetrized_norm(eps, e) is the difference form with J = everything."""
+
+    @pytest.mark.parametrize("poly, galois", [
+        ([-1, -3, 0, 1], None),
+        ([1, -4, 0, 1], None),
+        (CYCLIC_QUINTIC, CYCLIC_QUINTIC_GALOIS),
+    ])
+    def test_same_value_and_width(self, poly, galois):
+        fld = make_field(poly, galois)
+        d = fld.degree
+        rng = random.Random(61)
+        checked = 0
+        while checked < 6:
+            e = tuple(rng.randint(-2, 3) for _ in range(d))
+            if len(set(e)) == 1:
+                continue
+            for eps in (fld.gen, fld.gen * fld.gen):
+                single = symmetrized_norm(eps, e)
+                assert isinstance(single, CertifiedInteger)
+                assert single == symmetrized_difference_norm(eps, e, (0,) * d, range(d))
+            checked += 1
 
 
 def _sympy_verdict(coeffs):
