@@ -278,8 +278,10 @@ class FqMatrixGroup:
         self._closure = None
 
     def closure(self, cap: int = CLOSURE_CAP) -> frozenset:
-        """Full subgroup by breadth-first product closure."""
+        """Full subgroup by breadth-first closure, cached; cap holds on every call."""
         if self._closure is not None:
+            if len(self._closure) > cap:
+                raise CapExceeded(f"closure exceeded {cap} elements")
             return self._closure
         F = self.field
         ident = mat_id2(F)
@@ -445,43 +447,38 @@ def _is_projectively_dihedral(F, proj, orders, n) -> bool:
 # large-image detection
 
 
-def _derived_subgroup(F: Fq, elems, gens):
-    """The commutator subgroup of the enumerated group."""
-    comms = set()
-    for a in gens:
-        ai = mat_inv2(F, a)
-        for b in elems:
-            bi = mat_inv2(F, b)
-            comms.add(mat_mul2(F, mat_mul2(F, a, b), mat_mul2(F, ai, bi)))
-    # normal closure, iterated
-    sub = FqMatrixGroup(F, tuple(comms)).closure()
+def _derived_subgroup(F: Fq, gens):
+    """G' for the finite group G = <gens>: the normal closure of the
+    commutators of pairs of generators (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005).  Conjugates of the subgroup's
+    generators by those of G join them until the closure absorbs them all.
+    """
+    inv = {g: mat_inv2(F, g) for g in gens}
+    sub_gens = {mat_mul2(F, mat_mul2(F, a, b), mat_mul2(F, inv[a], inv[b]))
+                for a, b in itertools.combinations(gens, 2)}
     while True:
-        extra = set()
-        for g in gens:
-            gi = mat_inv2(F, g)
-            for s in sub:
-                c = mat_mul2(F, mat_mul2(F, g, s), gi)
-                if c not in sub:
-                    extra.add(c)
+        sub = FqMatrixGroup(F, tuple(sub_gens)).closure()
+        extra = {mat_mul2(F, mat_mul2(F, g, s), inv[g])
+                 for g in gens for s in sub_gens} - sub
         if not extra:
             return sub
-        sub = FqMatrixGroup(F, tuple(sub | extra)).closure()
+        sub_gens |= extra
 
 
 def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
     """q' if SL2(F_q') <= group <= scalars * GL2(F_q') up to conjugation.
 
-    The derived subgroup must be a conjugate of SL2(F_q') with the same
-    conjugation putting the whole group inside scalar multiples of
-    GL2(F_q').  SL2(F_2) and SL2(F_3) are not perfect (their derived
-    subgroups are C3 and Q8), so for p <= 3 a group whose derived subgroup
-    has no SL2 order is searched for SL2(F_p) among its elements of
-    determinant one instead.  The conjugating matrix is brute-forced over
-    GL2 of the ambient field (desk scale q <= 9).
+    The derived subgroup, a normal closure (see _derived_subgroup), must be
+    a conjugate of SL2(F_q') with the same conjugation putting the whole
+    group inside scalar multiples of GL2(F_q').  SL2(F_2) and SL2(F_3) are
+    not perfect (derived subgroups C3 and Q8), so for p <= 3 a group whose
+    derived subgroup has no SL2 order is searched for SL2(F_p) among its
+    determinant-one elements.  At q' = q the order count decides; only for
+    q' < q is a conjugator brute-forced over GL2 of the ambient field.
     """
     F = group.field
     elems = group.closure(cap)
-    derived = _derived_subgroup(F, elems, list(group.generators))
+    derived = _derived_subgroup(F, group.generators)
     size = len(derived)
     q_cand = None
     for s in (d for d in range(1, F.r + 1) if F.r % d == 0):
@@ -500,6 +497,8 @@ def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
     misses_allowed = len(witness) - q_cand * (q_cand * q_cand - 1)
     if misses_allowed < 0:
         return None
+    if q_cand == F.q:  # the search would accept the first invertible matrix
+        return q_cand
     s = round(math.log(q_cand, F.p))
 
     def in_subfield_mat(m):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from gl2img_oracles import derived_subgroup_all_commutators, li_check_search
+from hmfcert import gl2img
 from hmfcert.gl2img import (
     CapExceeded,
     Fq,
@@ -9,10 +11,13 @@ from hmfcert.gl2img import (
     Inconsistent,
     SizeOverflow,
     TameChar,
+    _derived_subgroup,
     classify_projective_image,
     li_check,
     mat_det2,
     mat_id2,
+    mat_inv2,
+    mat_mul2,
     pgl2_order,
     psl2_order,
     recover_from_subset_sums,
@@ -31,6 +36,7 @@ A5_OVER_F11 = ((0, 1, 2, 0), (0, 1, 6, 4))
 A5_OVER_F9 = ((0, 1, 1, 0), (0, 1, 1, 3))  # order 60 divisible by p = 3
 
 SL2_GENS = ((1, 1, 0, 1), (1, 0, 1, 1))
+SL2_F11_CONJUGATE = ((5, 4, 7, 8), (9, 6, 4, 4))
 
 
 class TestFq:
@@ -80,6 +86,13 @@ class TestClosure:
         F = Fq(7)
         with pytest.raises(CapExceeded):
             FqMatrixGroup(F, SL2_GENS).closure(cap=100)
+
+    def test_cap_applies_to_cached_closure(self):
+        g = FqMatrixGroup(Fq(7), SL2_GENS)
+        assert len(g.closure()) == 336
+        with pytest.raises(CapExceeded):
+            g.closure(cap=100)
+        assert len(g.closure(cap=336)) == 336
 
     def test_singular_generator_rejected(self):
         F = Fq(5)
@@ -226,6 +239,92 @@ class TestLiCheck:
                 break
         g = FqMatrixGroup(F, ((1, 1, 0, 1), (1, 0, 1, 1), (g9, 0, 0, 1)))
         assert li_check(g) == 9
+
+    def test_sl2_f11_conjugate_work_count(self, monkeypatch):
+        # the brute-force derived subgroup made 319440 products here
+        group = FqMatrixGroup(Fq(11), SL2_F11_CONJUGATE)
+        group.closure()
+        real = gl2img.mat_mul2
+        calls = []
+
+        def counting_mat_mul2(F, m, n):
+            calls.append(None)
+            return real(F, m, n)
+
+        monkeypatch.setattr(gl2img, "mat_mul2", counting_mat_mul2)
+        assert li_check(group) == 11
+        assert len(calls) < 20000
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
+
+
+def _random_invertible(rng, F, kind):
+    while True:
+        if kind == "any":
+            m = tuple(rng.randrange(F.q) for _ in range(4))
+        elif kind == "upper":
+            m = (rng.randrange(F.q), rng.randrange(F.q), 0, rng.randrange(F.q))
+        elif kind == "prime":
+            m = tuple(rng.randrange(F.p) for _ in range(4))
+        else:  # monomial
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            m = (a, 0, 0, b) if rng.random() < 0.5 else (0, a, b, 0)
+        if mat_det2(F, m):
+            return m
+
+
+def _random_subgroup(rng, F, kind):
+    """1-3 random generators of one kind; groups over 1400 elements are
+    redrawn to keep the brute-force oracles fast.  Prime-field generators get
+    a random scalar of F_q, so that over F_{p^r} the search for q' < q runs."""
+    while True:
+        gens = tuple(_random_invertible(rng, F, kind) for _ in range(rng.randint(1, 3)))
+        if kind == "prime":
+            lam = rng.randrange(1, F.q)
+            gens += ((lam, 0, 0, lam),)
+        group = FqMatrixGroup(F, gens)
+        try:
+            group.closure(1400)
+        except CapExceeded:
+            continue
+        return group
+
+
+def _assert_matches_oracles(group):
+    F = group.field
+    want = derived_subgroup_all_commutators(F, group.closure(), group.generators)
+    assert _derived_subgroup(F, group.generators) == want
+    assert li_check(group) == li_check_search(group)
+
+
+class TestLargeImageOracles:
+    """The normal-closure derived subgroup and li_check against the
+    brute-force routes they replaced (tests/gl2img_oracles.py)."""
+
+    @pytest.mark.parametrize("p,r", ORACLE_FIELDS)
+    def test_random_subgroups(self, p, r):
+        # over F_8 this draws a Borel subgroup of order 392, for which both
+        # routes search GL2(F_8) for a conjugator into SL2(F_2) and fail
+        F = Fq(p, r)
+        rng = random.Random(10000 + 100 * p + r)
+        for kind in ("any", "upper", "prime", "monomial"):
+            _assert_matches_oracles(_random_subgroup(rng, F, kind))
+
+    # F_13 is left to tests/golden/classify_sl2_f13_li.json: the oracles
+    # take about 3 s on an SL2(F_13) conjugate
+    @pytest.mark.parametrize("p,r", [f for f in ORACLE_FIELDS if f != (13, 1)])
+    def test_sl2_conjugates_plus_scalars(self, p, r):
+        # SL2(F_p) conjugated inside GL2(F_q), with a random scalar of F_q
+        F = Fq(p, r)
+        rng = random.Random(1000 + 100 * p + r)
+        c = _random_invertible(rng, F, "any")
+        ci = mat_inv2(F, c)
+        lam = rng.randrange(1, F.q)
+        gens = tuple(mat_mul2(F, mat_mul2(F, ci, g), c) for g in SL2_GENS)
+        group = FqMatrixGroup(F, gens + ((lam, 0, 0, lam),))
+        assert li_check(group) == p
+        _assert_matches_oracles(group)
 
 
 def _rand_mat(rng, lo=-3, hi=3):

@@ -1,10 +1,15 @@
-"""exclude-primes JSON reports, byte for byte against committed files.
+"""exclude-primes and classify-image JSON reports, byte for byte against
+committed files.
 
-The README promises deterministic reports; these configs cover the exact
-quadratic path with a dihedral extension, a cyclic cubic, a non-Galois
-cubic with a dihedral extension over intervals, and a Klein-four quartic
-whose exact-zero subsets stop at a 256-bit cap.  A file under golden/
-changes only when a report is meant to change.
+The README promises deterministic reports; the exclude-primes configs cover
+the exact quadratic path with a dihedral extension, a cyclic cubic, a
+non-Galois cubic with a dihedral extension over intervals, and a
+Klein-four quartic whose exact-zero subsets stop at a 256-bit cap.  The
+classify-image cases cover the large-image check on SL2 conjugates over
+F_7, F_11 and F_13, SL2(F_3) (not perfect), GL2(F_3) inside GL2(F_9), the
+full GL2(F_9), GL2(F_3) extended by the scalars of F_9, and a dihedral
+group that fails it.  A file under golden/ changes only when a report is
+meant to change.
 """
 
 import json
@@ -12,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from hmfcert import gl2img
 from hmfcert.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,4 +69,33 @@ def test_exclude_primes_json_matches_golden(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     assert run(["--format", "json", "exclude-primes", "--config", str(path)]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+# name -> (classify-image arguments, entries are encoded elements of F_q).
+# The CLI reads integer entries into the prime field; the two F_9 groups
+# need entries outside F_3 (3 encodes a generator of F_9^x), so for them
+# the test reads every entry as an encoded element instead.
+CLASSIFY = {
+    "classify_sl2_f7_li": (["--p", "7", "--gens", "1,0,2,1;1,4,0,1", "--li"], False),
+    "classify_sl2_f11_li": (["--p", "11", "--gens", "5,4,7,8;9,6,4,4", "--li"], False),
+    "classify_sl2_f13_li": (["--p", "13", "--gens", "11,3,10,4;6,3,9,9", "--li"], False),
+    "classify_sl2_f3_li": (["--p", "3", "--gens", "1,1,0,1;1,0,1,1", "--li"], False),
+    "classify_gl2_f3_r2_li": (["--p", "3", "--r", "2", "--gens",
+                               "1,1,0,1;1,0,1,1;2,0,0,1", "--li"], False),
+    "classify_gl2_f9_li": (["--p", "3", "--r", "2", "--gens",
+                            "1,1,0,1;1,0,1,1;3,0,0,1", "--li"], True),
+    "classify_gl2_f3_f9_scalars_li": (["--p", "3", "--r", "2", "--gens",
+                                       "1,1,0,1;1,0,1,1;2,0,0,1;3,0,0,3", "--li"], True),
+    "classify_dihedral_f5_li": (["--p", "5", "--gens", "2,0,0,1;1,0,0,2;0,1,1,0",
+                                 "--li"], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY))
+def test_classify_image_json_matches_golden(name, capsys, monkeypatch):
+    argv, encoded = CLASSIFY[name]
+    if encoded:
+        monkeypatch.setattr(gl2img.Fq, "from_int", lambda F, n: n)
+    assert run(["--format", "json", "classify-image"] + argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
