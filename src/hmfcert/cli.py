@@ -110,16 +110,7 @@ def _cmd_weights(args) -> int:
         "hodge_multiset": list(hm.entries), "motivic_weight": hm.motivic_weight,
         "mw": bool(mw),
         "mw_witness": weights.subset_label(mw.witness) if mw.witness is not None else None,
-        "bounds": {
-            "sum_k_minus_1": b.sum_k_minus_1,
-            "min_prime_II": b.min_prime_ii,
-            "min_prime_exceptional": b.min_prime_exceptional,
-            "min_prime_combined": b.min_prime_combined,
-            "min_prime_quadratic_alt": b.min_prime_quadratic_alt,
-            "special_2k_minus_1": sorted(b.special_double),
-            "special_cross": sorted(b.special_cross),
-            "small_excluded": sorted(b.small_excluded),
-        },
+        "bounds": b.to_json_dict(),
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -237,8 +228,11 @@ def _cmd_classify_image(args) -> int:
         vals = [int(x) for x in part.split(",")]
         if len(vals) != 4:
             raise UsageError("each generator needs 4 entries a,b,c,d")
-        # integer entries land in the prime subfield
-        gens.append(tuple(F.from_int(v) for v in vals))
+        if F.r == 1:
+            vals = [F.from_int(v) for v in vals]
+        elif not all(0 <= v < F.q for v in vals):
+            raise ValueError(f"entries over F_{F.q} are encoded elements 0..{F.q - 1}")
+        gens.append(tuple(vals))
     group = gl2img.FqMatrixGroup(F, tuple(gens))
     c = gl2img.classify_projective_image(group, cap=args.cap)
     q_li = gl2img.li_check(group, cap=args.cap) if args.li else None

@@ -442,16 +442,7 @@ class CertificationReport:
                 "m": list(self.weight.m),
             },
             "level": {"delta": self.delta, "primes": list(self.delta_primes)},
-            "bounds": {
-                "sum_k_minus_1": self.bounds.sum_k_minus_1,
-                "min_prime_II": self.bounds.min_prime_ii,
-                "min_prime_exceptional": self.bounds.min_prime_exceptional,
-                "min_prime_combined": self.bounds.min_prime_combined,
-                "min_prime_quadratic_alt": self.bounds.min_prime_quadratic_alt,
-                "special_2k_minus_1": sorted(self.bounds.special_double),
-                "special_cross": sorted(self.bounds.special_cross),
-                "small_excluded": sorted(self.bounds.small_excluded),
-            },
+            "bounds": self.bounds.to_json_dict(),
             "middle_weight": {
                 "ok": self.mw_ok,
                 "witness": subset_label(self.mw_witness)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+from .nfield import _poly_mul, _poly_rem
 from .primes import factor, is_prime
 
 Q_CAP = 121
@@ -37,41 +39,15 @@ class Inconsistent(Exception):
 
 
 def _poly_mul_mod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce by the monic modulus
-    r = len(mod) - 1
-    for i in range(len(out) - 1, r - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(r + 1):
-                out[i - r + j] = (out[i - r + j] - c * mod[j]) % p
-    return out[:r]
+    # exact over Z before the final reduction, as mod is monic
+    return [c % p for c in _poly_rem(_poly_mul(a, b), mod)]
 
 
 def _poly_is_irreducible(f, p) -> bool:
     """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    r = len(f) - 1
-    for deg in range(1, r // 2 + 1):
+    for deg in range(1, (len(f) - 1) // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
-            g = list(tail) + [1]
-            # polynomial remainder of f by g over F_p
-            rem = list(f)
-            while len(rem) >= len(g) and any(rem):
-                while rem and rem[-1] == 0:
-                    rem.pop()
-                if len(rem) < len(g):
-                    break
-                c = rem[-1]
-                k = len(rem) - len(g)
-                for i in range(len(g)):
-                    rem[k + i] = (rem[k + i] - c * g[i]) % p
-                while rem and rem[-1] == 0:
-                    rem.pop()
-            if not any(rem):
+            if not any(c % p for c in _poly_rem(f, list(tail) + [1])):
                 return False
     return True
 
@@ -399,28 +375,15 @@ def classify_projective_image(group: FqMatrixGroup,
                 return Classification("PSL2", qp, n, tf)
             if n == pgl2_order(qp):
                 return Classification("PGL2", qp, n, tf)
-        # exceptional groups with p in {2, 3, 5} can have order divisible
-        # by p without being subfield groups (A5 in characteristic 3, say)
-        orders = _proj_element_orders(F, proj)
-        stats = {}
-        for o in orders.values():
-            stats[o] = stats.get(o, 0) + 1
-        for name, ref in (("A4", _A4_STATS), ("S4", _S4_STATS), ("A5", _A5_STATS)):
-            if stats == ref:
-                return Classification(name, None, n, tf)
-        return Classification("LargeIntermediate", None, n, tf)
     orders = _proj_element_orders(F, proj)
-    stats = {}
-    for o in orders.values():
-        stats[o] = stats.get(o, 0) + 1
-    if n == 12 and stats == _A4_STATS:
-        return Classification("A4", None, n, tf)
-    if n == 24 and stats == _S4_STATS:
-        return Classification("S4", None, n, tf)
-    if n == 60 and stats == _A5_STATS:
-        return Classification("A5", None, n, tf)
+    stats = Counter(orders.values())
+    # each statistic fixes the order; with p in {2, 3, 5} it may be divisible
+    # by p without a subfield group (A5 in characteristic 3, say)
+    for name, ref in (("A4", _A4_STATS), ("S4", _S4_STATS), ("A5", _A5_STATS)):
+        if stats == ref:
+            return Classification(name, None, n, tf)
     # dihedral: a cyclic normal subgroup of index 2
-    if n % 2 == 0 and _is_projectively_dihedral(F, proj, orders, n):
+    if n % F.p and n % 2 == 0 and _is_projectively_dihedral(F, proj, orders, n):
         return Classification("Dihedral", n // 2, n, tf)
     return Classification("LargeIntermediate", None, n, tf)
 
@@ -474,7 +437,8 @@ def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
     not perfect (derived subgroups C3 and Q8), so for p <= 3 a group whose
     derived subgroup has no SL2 order is searched for SL2(F_p) among its
     determinant-one elements.  At q' = q the order count decides; only for
-    q' < q is a conjugator brute-forced over GL2 of the ambient field.
+    q' < q, and when Lagrange allows it, is a conjugator brute-forced over
+    GL2 of the ambient field.
     """
     F = group.field
     elems = group.closure(cap)
@@ -493,10 +457,12 @@ def li_check(group: FqMatrixGroup, cap: int = CLOSURE_CAP) -> int | None:
         q_cand = F.p
         witness = [m for m in elems if mat_det2(F, m) == 1]
     # the witnesses that conjugate into SL2(F_q') form a subgroup of it,
-    # which is all of it when no more than misses_allowed of them fail
-    misses_allowed = len(witness) - q_cand * (q_cand * q_cand - 1)
-    if misses_allowed < 0:
+    # which is all of it when no more than misses_allowed of them fail;
+    # by Lagrange its order then divides the witnesses' count
+    order = q_cand * (q_cand * q_cand - 1)
+    if len(witness) % order:
         return None
+    misses_allowed = len(witness) - order
     if q_cand == F.q:  # the search would accept the first invertible matrix
         return q_cand
     s = round(math.log(q_cand, F.p))

@@ -8,8 +8,8 @@ is square and nonsingular, and a rational lattice is an integer matrix
 with one common denominator.  fractions.Fraction appears only at the Split input, whose
 bases are cleared to integers once, and in the eigenvalue search of
 find_congruences, which works with operators restricted to those bases.
-The Bareiss fraction-free determinant kernel defined here is shared with
-the number-field module, which clears denominators and calls it.
+The Bareiss determinant and _solve are shared with the number-field
+module, which clears denominators and calls them for norms and inverses.
 """
 
 from __future__ import annotations

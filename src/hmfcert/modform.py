@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .nfield import Field, FieldElem, embed, is_totally_positive, orbit_reduce, trace
+from .nfield import (Field, FieldElem, _poly_eval, _poly_mul, embed, is_totally_positive,
+                     orbit_reduce, trace)
 from .weights import Weight
 
 
@@ -59,20 +60,12 @@ def ramanujan_sample(q: int, k0: int, theta: float, psi_angle: float = 0.0) -> E
     return EulerParams(alpha=alpha, beta=beta, psi0=psi0, q=q, k0=k0)
 
 
-def _poly_mul(a, b):
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def adjoint_local_factor(e: EulerParams) -> list[complex]:
     """Coefficients of (1 - a/b X)(1 - X)(1 - b/a X), low degree first."""
     if e.alpha == 0 or e.beta == 0:
         raise ZeroEigenvalue("eigenvalues must be nonzero")
     r = e.alpha / e.beta
-    poly = [1]
+    poly = [1 + 0j]
     for root in (r, 1, 1 / r):
         poly = _poly_mul(poly, [1, -root])
     return poly
@@ -91,24 +84,17 @@ def d_local_factor(e: EulerParams) -> DLocalFactor:
     a, b = e.alpha, e.beta
     ab = a * b
     num = [1, 0, -(ab * ab.conjugate())]
-    den = [1]
+    den = [1 + 0j]
     for g in (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate()):
         den = _poly_mul(den, [1, -g])
     return DLocalFactor(numerator=num, denominator=den)
 
 
-def _eval_poly(p, x):
-    out = 0j
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 def _d_value(f: DLocalFactor, x: complex) -> complex:
-    den = _eval_poly(f.denominator, x)
+    den = _poly_eval(f.denominator, x)
     if abs(den) < 1e-300:
         raise SamplePole("denominator vanishes at the sample")
-    return _eval_poly(f.numerator, x) / den
+    return _poly_eval(f.numerator, x) / den
 
 
 def verify_zeta_ratio(e: EulerParams, s_samples, *, break_conjugation: bool = False) -> float:
@@ -122,7 +108,7 @@ def verify_zeta_ratio(e: EulerParams, s_samples, *, break_conjugation: bool = Fa
     f = d_local_factor(e)
     if break_conjugation:
         a, b = e.alpha, e.beta
-        den = [1]
+        den = [1 + 0j]
         for g in (a * a.conjugate(), a * b, b * a.conjugate(), b * b.conjugate()):
             den = _poly_mul(den, [1, -g])
         f = DLocalFactor(numerator=f.numerator, denominator=den)
@@ -136,7 +122,7 @@ def verify_zeta_ratio(e: EulerParams, s_samples, *, break_conjugation: bool = Fa
         zeta1 = 1 - xs
         if abs(zeta1) < 1e-12 or abs(zeta2) < 1e-12:
             raise SamplePole("zeta factor vanishes at the sample")
-        lval = _eval_poly(lpoly, xs)
+        lval = _poly_eval(lpoly, xs)
         if abs(lval) < 1e-12:
             raise SamplePole("adjoint factor vanishes at the sample")
         lhs = _d_value(f, xw) / zeta2
@@ -161,7 +147,7 @@ def lstar_correction(local_type: str, q: int) -> list[Fraction]:
 
 
 def eval_correction(coeffs, q: int, s: complex) -> complex:
-    return _eval_poly([complex(c) for c in coeffs], q ** (-complex(s)))
+    return _poly_eval([complex(c) for c in coeffs], q ** (-complex(s)))
 
 
 # Lanczos approximation (g = 7, 9 terms): ~15 significant digits.

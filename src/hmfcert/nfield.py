@@ -3,9 +3,13 @@
 A Field is a monic irreducible integer polynomial together with isolating
 intervals for its real roots (ascending) and optional Galois permutation
 data on the embedding indices.  Elements are rational coordinate vectors
-in the power basis; all arithmetic is exact.  Real embeddings are produced
-as dyadic intervals that provably contain the exact value, refined by
-bisection on the isolating interval of the corresponding root.
+in the power basis; all arithmetic is exact.  A product is a remainder by
+the monic min_poly, and an inverse is one fraction-free solve
+(lattice._solve) against the integer matrix of multiplication.  The dense
+polynomial helpers work over any coefficient ring; gl2img builds its F_q
+tables and modform its complex local factors with them.  Real embeddings
+are produced as dyadic intervals that provably contain the exact value,
+refined by bisection on the isolating interval of the corresponding root.
 
 A DyadicInterval is two integer mantissas over one power of two,
 [lo_m / 2^exp, hi_m / 2^exp], so interval arithmetic is integer
@@ -39,7 +43,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .lattice import bareiss_det
+from .lattice import _solve, bareiss_det
 
 
 class NotIrreducible(Exception):
@@ -292,7 +296,7 @@ ZERO = Zero()
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Q (dense lists, low degree first)
+# polynomial helpers over any coefficient ring (dense lists, low degree first)
 
 
 def _poly_trim(p):
@@ -301,24 +305,24 @@ def _poly_trim(p):
     return p
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim([ (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                        for i in range(n) ])
-
-
-def _poly_scale(a, c):
-    return _poly_trim([x * c for x in a])
-
-
 def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _poly_trim(out)
+    return out
+
+
+def _poly_rem(a, m):
+    """Remainder of a by the monic m, in a's coefficient ring."""
+    r = list(a)
+    k = len(m) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(k):
+                r[i - k + j] -= c * m[j]
+    return r[:k]
 
 
 def _poly_divmod(a, b):
@@ -334,8 +338,8 @@ def _poly_divmod(a, b):
     return _poly_trim(q), a
 
 
-def _poly_eval(p, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _poly_eval(p, x):
+    out = 0
     for c in reversed(p):
         out = out * x + c
     return out
@@ -557,31 +561,18 @@ class FieldElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        mp = [Fraction(c) for c in self.field.min_poly]
-        _, rem = _poly_divmod(prod, mp)
-        rem += [Fraction(0)] * (self.field.degree - len(rem))
-        return FieldElem(self.field, tuple(rem[: self.field.degree]))
+        prod = _poly_mul(self.coeffs, other.coeffs)
+        return FieldElem(self.field, tuple(_poly_rem(prod, self.field.min_poly)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
+        """Solve M^T y = den * e_0 for the integer matrix M of _integer_mult_matrix."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        # extended gcd of self and min_poly over Q
-        a = _poly_trim([Fraction(c) for c in self.coeffs])
-        b = [Fraction(c) for c in self.field.min_poly]
-        r0, r1 = b, a
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1), Fraction(-1)))
-        # r0 = gcd (a nonzero constant since min_poly is irreducible)
-        assert len(r0) == 1
-        inv = _poly_scale(s0, 1 / r0[0])
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return FieldElem(self.field, tuple(inv[: self.field.degree]))
+        den, rows = _integer_mult_matrix(self)
+        det, y = _solve(list(zip(*rows)), [[den]] + [[0]] * (self.field.degree - 1))
+        return FieldElem(self.field, tuple(Fraction(v, det) for (v,) in y))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -699,14 +690,7 @@ def _integers_in(iv: DyadicInterval) -> range:
 
 def _divides(p, f) -> bool:
     """Whether the monic integer polynomial f divides p (low degree first)."""
-    r = list(p)
-    k = len(f) - 1
-    for i in range(len(r) - 1, k - 1, -1):
-        c = r[i]
-        if c:
-            for j in range(k + 1):
-                r[i - k + j] -= c * f[j]
-    return not any(r[:k])
+    return not any(_poly_rem(p, f))
 
 
 def _root_bounds(p):

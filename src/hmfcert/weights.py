@@ -155,6 +155,18 @@ class BoundsReport:
     special_cross: frozenset[int]    # primes among {k_t + k_t' - 1, t != t'}
     small_excluded: frozenset[int]   # primes p with p | 6 or p <= k0
 
+    def to_json_dict(self):
+        return {
+            "sum_k_minus_1": self.sum_k_minus_1,
+            "min_prime_II": self.min_prime_ii,
+            "min_prime_exceptional": self.min_prime_exceptional,
+            "min_prime_combined": self.min_prime_combined,
+            "min_prime_quadratic_alt": self.min_prime_quadratic_alt,
+            "special_2k_minus_1": sorted(self.special_double),
+            "special_cross": sorted(self.special_cross),
+            "small_excluded": sorted(self.small_excluded),
+        }
+
 
 def _min_prime_strict(bound: Fraction) -> int:
     """Smallest prime p with p - 1 > bound."""

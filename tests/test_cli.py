@@ -200,6 +200,19 @@ class TestClassifyExtensionField:
                     "--modulus", "2,1,1", "--gens", "1,1,0,1;1,0,1,1"]) == 0
         assert "PSL2(3)" in capsys.readouterr().out
 
+    def test_entries_are_encoded_elements(self, capsys):
+        # 3 encodes x, a generator of F_9^x, so the scalars of F_9 join
+        assert run(["--format", "json", "classify-image", "--p", "3", "--r", "2",
+                    "--gens", "1,1,0,1;1,0,1,1;3,0,0,3"]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == "PSL2(3)"
+        assert run(["classify-image", "--p", "3", "--r", "2",
+                    "--gens", "1,1,0,1;1,0,9,1"]) == 1
+        assert "encoded elements 0..8" in capsys.readouterr().err
+
+    def test_prime_field_entries_reduce(self, capsys):
+        assert run(["classify-image", "--p", "7", "--gens", "8,8,7,8;-6,0,1,1"]) == 0
+        assert "PSL2(7)" in capsys.readouterr().out
+
 
 class TestFullConfigGolden:
     def test_everything_config(self, tmp_path, capsys):

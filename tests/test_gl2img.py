@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+import sympy
 
 from gl2img_oracles import derived_subgroup_all_commutators, li_check_search
 from hmfcert import gl2img
@@ -12,6 +14,7 @@ from hmfcert.gl2img import (
     SizeOverflow,
     TameChar,
     _derived_subgroup,
+    _poly_is_irreducible,
     classify_projective_image,
     li_check,
     mat_det2,
@@ -66,6 +69,40 @@ class TestFq:
         assert F.subfield_size([0, 1, 2]) == 3
         gen = next(a for a in range(9) if not F.in_subfield(a, 1))
         assert F.subfield_size([gen]) == 9
+
+
+# the default moduli (smallest primitive by encoding), pinned from the
+# table-building code before it moved onto the shared polynomial helpers
+FQ_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1), (3, 2): (2, 1, 1),
+    (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1), (5, 2): (2, 1, 1), (7, 2): (3, 1, 1),
+    (11, 2): (7, 1, 1),
+}
+
+
+class TestFqAgainstSympy:
+    @pytest.mark.parametrize("p,r", sorted(FQ_MODULI))
+    def test_modulus_and_mul_table(self, p, r):
+        F = Fq(p, r)
+        assert F.modulus == FQ_MODULI[p, r]
+        x = sympy.symbols("x")
+        mod = sympy.Poly(list(F.modulus)[::-1], x, modulus=p)
+        polys = [sympy.Poly([(a // p**i) % p for i in range(r)][::-1], x, modulus=p)
+                 for a in range(F.q)]
+        rng = random.Random(p * 100 + r)
+        for a, b in (divmod(n, F.q) for n in rng.sample(range(F.q**2), min(F.q**2, 1000))):
+            coeffs = (polys[a] * polys[b]).rem(mod).all_coeffs()[::-1]
+            assert F.mul_table[a][b] == sum(int(c) % p * p**i for i, c in enumerate(coeffs))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_irreducibility(self, p):
+        x = sympy.symbols("x")
+        for deg in (2, 3, 4):
+            for tail in itertools.product(range(p), repeat=deg):
+                f = list(tail) + [1]
+                want = sympy.Poly(f[::-1], x, modulus=p).is_irreducible
+                assert _poly_is_irreducible(f, p) == want, f
 
 
 class TestClosure:
@@ -255,6 +292,24 @@ class TestLiCheck:
         assert li_check(group) == 11
         assert len(calls) < 20000
 
+    def test_lagrange_exit_work_count(self, monkeypatch):
+        # a Borel subgroup of GL2(F_8) of order 392: 6 does not divide its 56
+        # determinant-one elements, so no conjugate of SL2(F_2) lies among
+        # them; a search over GL2(F_8) made 369424 products here
+        group = FqMatrixGroup(Fq(2, 3), ((2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1),
+                                         (1, 2, 0, 1), (1, 4, 0, 1)))
+        assert len(group.closure()) == 392
+        real = gl2img.mat_mul2
+        calls = []
+
+        def counting_mat_mul2(F, m, n):
+            calls.append(None)
+            return real(F, m, n)
+
+        monkeypatch.setattr(gl2img, "mat_mul2", counting_mat_mul2)
+        assert li_check(group) is None
+        assert len(calls) < 1000
+
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
 
@@ -304,8 +359,9 @@ class TestLargeImageOracles:
 
     @pytest.mark.parametrize("p,r", ORACLE_FIELDS)
     def test_random_subgroups(self, p, r):
-        # over F_8 this draws a Borel subgroup of order 392, for which both
-        # routes search GL2(F_8) for a conjugator into SL2(F_2) and fail
+        # over F_8 this draws a Borel subgroup of order 392, for which the
+        # oracle searches GL2(F_8) for a conjugator into SL2(F_2) and fails,
+        # while li_check returns at once by Lagrange
         F = Fq(p, r)
         rng = random.Random(10000 + 100 * p + r)
         for kind in ("any", "upper", "prime", "monomial"):

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from hmfcert import gl2img
 from hmfcert.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,30 +71,24 @@ def test_exclude_primes_json_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
-# name -> (classify-image arguments, entries are encoded elements of F_q).
-# The CLI reads integer entries into the prime field; the two F_9 groups
-# need entries outside F_3 (3 encodes a generator of F_9^x), so for them
-# the test reads every entry as an encoded element instead.
+# name -> classify-image arguments.  With --r 2 every entry is an encoded
+# element of F_9 (3 encodes x, a generator of F_9^x).
 CLASSIFY = {
-    "classify_sl2_f7_li": (["--p", "7", "--gens", "1,0,2,1;1,4,0,1", "--li"], False),
-    "classify_sl2_f11_li": (["--p", "11", "--gens", "5,4,7,8;9,6,4,4", "--li"], False),
-    "classify_sl2_f13_li": (["--p", "13", "--gens", "11,3,10,4;6,3,9,9", "--li"], False),
-    "classify_sl2_f3_li": (["--p", "3", "--gens", "1,1,0,1;1,0,1,1", "--li"], False),
-    "classify_gl2_f3_r2_li": (["--p", "3", "--r", "2", "--gens",
-                               "1,1,0,1;1,0,1,1;2,0,0,1", "--li"], False),
-    "classify_gl2_f9_li": (["--p", "3", "--r", "2", "--gens",
-                            "1,1,0,1;1,0,1,1;3,0,0,1", "--li"], True),
-    "classify_gl2_f3_f9_scalars_li": (["--p", "3", "--r", "2", "--gens",
-                                       "1,1,0,1;1,0,1,1;2,0,0,1;3,0,0,3", "--li"], True),
-    "classify_dihedral_f5_li": (["--p", "5", "--gens", "2,0,0,1;1,0,0,2;0,1,1,0",
-                                 "--li"], False),
+    "classify_sl2_f7_li": ["--p", "7", "--gens", "1,0,2,1;1,4,0,1", "--li"],
+    "classify_sl2_f11_li": ["--p", "11", "--gens", "5,4,7,8;9,6,4,4", "--li"],
+    "classify_sl2_f13_li": ["--p", "13", "--gens", "11,3,10,4;6,3,9,9", "--li"],
+    "classify_sl2_f3_li": ["--p", "3", "--gens", "1,1,0,1;1,0,1,1", "--li"],
+    "classify_gl2_f3_r2_li": ["--p", "3", "--r", "2", "--gens",
+                              "1,1,0,1;1,0,1,1;2,0,0,1", "--li"],
+    "classify_gl2_f9_li": ["--p", "3", "--r", "2", "--gens",
+                           "1,1,0,1;1,0,1,1;3,0,0,1", "--li"],
+    "classify_gl2_f3_f9_scalars_li": ["--p", "3", "--r", "2", "--gens",
+                                      "1,1,0,1;1,0,1,1;2,0,0,1;3,0,0,3", "--li"],
+    "classify_dihedral_f5_li": ["--p", "5", "--gens", "2,0,0,1;1,0,0,2;0,1,1,0", "--li"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY))
-def test_classify_image_json_matches_golden(name, capsys, monkeypatch):
-    argv, encoded = CLASSIFY[name]
-    if encoded:
-        monkeypatch.setattr(gl2img.Fq, "from_int", lambda F, n: n)
-    assert run(["--format", "json", "classify-image"] + argv) == 0
+def test_classify_image_json_matches_golden(name, capsys):
+    assert run(["--format", "json", "classify-image"] + CLASSIFY[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

@@ -94,6 +94,18 @@ class TestDLocalFactor:
         assert abs(via_poly - direct_num) < 1e-12
 
 
+class TestLocalFactorTypes:
+    def test_products_are_complex(self):
+        # a product seeded with the int 1 would leave an int constant term;
+        # the D numerator is written out as [1, 0, -|ab|^2]
+        rng = random.Random(3)
+        for _ in range(10):
+            e = ramanujan_sample(rng.choice([2, 3, 5, 7]), rng.choice([2, 3, 4]),
+                                 rng.uniform(0, 6.3), rng.uniform(0, 6.3))
+            for c in adjoint_local_factor(e) + d_local_factor(e).denominator:
+                assert type(c) is complex
+
+
 class TestVerifyZetaRatio:
     def test_basic_sample(self):
         assert verify_zeta_ratio(ramanujan_sample(2, 2, 0.0), [2.0]) < 1e-9

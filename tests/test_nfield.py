@@ -108,6 +108,36 @@ class TestArithmetic:
             q5.zero.inverse()
 
 
+ORACLE_FIELDS = [[-1, -3, 0, 1], [1, -4, 0, 1], [1, 0, -4, 0, 1], [1, 3, -3, -4, 1, 1]]
+
+
+class TestArithmeticAgainstSympy:
+    """Products and inverses against sympy's rem and invert modulo min_poly."""
+
+    @staticmethod
+    def _coords(expr, x, d):
+        coeffs = sympy.Poly(expr, x).all_coeffs()[::-1] if expr != 0 else []
+        coeffs += [0] * (d - len(coeffs))
+        return tuple(Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs))
+
+    @pytest.mark.parametrize("min_poly", ORACLE_FIELDS)
+    def test_product_and_inverse(self, min_poly):
+        x = sympy.symbols("x")
+        fld = make_field(min_poly)
+        d = fld.degree
+        f = sum(c * x**i for i, c in enumerate(min_poly))
+        rng = random.Random(sum(min_poly) + 100 * d)
+        for _ in range(8):
+            a, b = ([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+                    for _ in range(2))
+            a[-1] = a[-1] or Fraction(1)
+            ax, bx = (sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                          for i, c in enumerate(v)) for v in (a, b))
+            ea, eb = fld.element(a), fld.element(b)
+            assert (ea * eb).coeffs == self._coords(sympy.rem(ax * bx, f, x), x, d)
+            assert ea.inverse().coeffs == self._coords(sympy.invert(ax, f, x), x, d)
+
+
 class TestNormTrace:
     def test_norm_of_generator(self, q5):
         assert norm(q5.gen) == -5
