@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import bgg, criteria, gl2img, lattice, modform, nfield, weights
+from . import bgg, criteria, gl2img, lattice, modform, nfield, primes, weights
 
 
 class UsageError(Exception):
@@ -190,28 +190,40 @@ def _cmd_congruence_module(args) -> int:
             tuple(tuple(Fraction(str(x)) for x in row) for row in sp["v1"]),
             tuple(tuple(Fraction(str(x)) for x in row) for row in sp["v2"]),
         )
-    p = int(cfg["p"])
-    cm = lattice.congruence_module(lat, split, p)
-    payload = {
-        "p": p,
-        "invariant_factors": list(cm.invariant_factors),
-        "three_way": [list(t) for t in cm.three_way],
-        "order": cm.order,
-    }
-    if "ops" in cfg:
-        ops = [tuple(tuple(int(x) for x in row) for row in op) for op in cfg["ops"]]
-        res = lattice.find_congruences(ops, lat, split, p)
-        payload["congruent_pairs"] = [
-            {"side1": list(e1.values), "side2": list(e2.values)}
-            for e1, e2 in res.pairs
-        ]
-        payload["extension_needed"] = [res.extension_needed1, res.extension_needed2]
+    several = isinstance(cfg["p"], list)
+    ps = [int(p) for p in cfg["p"]] if several else [int(cfg["p"])]
+    if not ps:
+        raise UsageError("congruence-module 'p' lists no prime")
+    for p in ps:
+        if not primes.is_prime(p):
+            raise UsageError(f"congruence-module 'p' entry {p} is not prime")
+    ops = ([tuple(tuple(int(x) for x in row) for row in op) for op in cfg["ops"]]
+           if "ops" in cfg else None)
+    payloads = []
+    for cm in lattice.congruence_modules(lat, split, ps):
+        p = cm.p
+        payload = {
+            "p": p,
+            "invariant_factors": list(cm.invariant_factors),
+            "three_way": [list(t) for t in cm.three_way],
+            "order": cm.order,
+        }
+        if ops is not None:
+            res = lattice.find_congruences(ops, lat, split, p)
+            payload["congruent_pairs"] = [
+                {"side1": list(e1.values), "side2": list(e2.values)}
+                for e1, e2 in res.pairs
+            ]
+            payload["extension_needed"] = [res.extension_needed1, res.extension_needed2]
+        payloads.append(payload)
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"congruence module at p={p}: invariant factors {list(cm.invariant_factors)}"
-              f" (order {cm.order})")
-        print(f"three-way quotients: {[list(t) for t in cm.three_way]}")
+        print(json.dumps(payloads if several else payloads[0], sort_keys=True, indent=2))
+        return 0
+    for payload in payloads:
+        p = payload["p"]
+        print(f"congruence module at p={p}: invariant factors {payload['invariant_factors']}"
+              f" (order {payload['order']})")
+        print(f"three-way quotients: {payload['three_way']}")
         if "congruent_pairs" in payload:
             for pair in payload["congruent_pairs"]:
                 print(f"congruent eigensystems: {pair['side1']} = {pair['side2']} mod {p}")

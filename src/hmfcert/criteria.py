@@ -376,6 +376,7 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
         total = base ** ((1 << d) * len(group))
         assert total.denominator == 1
         return int(total)
+    exponents = set(w.m) | {w.k0 - m - 1 for m in w.m}
 
     def evaluate(bits):
         emb_a = [embed(a, j, bits) for j in range(d)]
@@ -386,14 +387,16 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
             root = (emb_b[j] * emb_sd[j]).round(bits)
             emb[(j, 1)] = emb_a[j] + root
             emb[(j, -1)] = emb_a[j] - root
+        powers = {(j, s, x): emb[(j, s)].power(x, bits)
+                  for (j, s) in emb for x in exponents}
         one = DyadicInterval(1, 1)
         total = one
         for signs in itertools.product((1, -1), repeat=d):
             for g in group:
                 f = one
                 for t in range(d):
-                    up = emb[(g[t], signs[t])].power(w.m[t], bits)
-                    dn = emb[(g[t], -signs[t])].power(w.k0 - w.m[t] - 1, bits)
+                    up = powers[(g[t], signs[t], w.m[t])]
+                    dn = powers[(g[t], -signs[t], w.k0 - w.m[t] - 1)]
                     f = (f * up * dn).round(bits)
                 total = (total * (f - one)).round(bits)
         return total

@@ -83,7 +83,7 @@ def d_local_factor(e: EulerParams) -> DLocalFactor:
         raise ZeroEigenvalue("eigenvalues must be nonzero")
     a, b = e.alpha, e.beta
     ab = a * b
-    num = [1, 0, -(ab * ab.conjugate())]
+    num = [1 + 0j, 0j, -(ab * ab.conjugate())]
     den = [1 + 0j]
     for g in (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate()):
         den = _poly_mul(den, [1, -g])

@@ -34,6 +34,16 @@ body, exact where eps is rational or the field is quadratic; elsewhere the
 integer comes from _certify, the one precision-escalation driver, which
 doubles the bits of an interval evaluation from 64 up to the cap until the
 interval pins an integer.
+
+The factor of sigma depends on sigma only through the labelling it puts
+on the embeddings: embedding sigma(tau) gets (tau in J, e_tau).  Elements
+with one labelling form a coset of H = G ∩ Stab(labels), so the product
+over G is exactly (prod over one element per coset)^|H|, and the interval
+evaluation computes each distinct factor once and raises the result to
+|H|.  When the labels are pairwise distinct, or when G is Galois data of
+prime degree and the labels are not all equal, H is trivial: the
+representatives are G itself, in its order, and the interval operations
+are those of the plain product over G.
 """
 
 from __future__ import annotations
@@ -984,16 +994,34 @@ def _symmetrized(eps, e, subset, fld, group, cap):
         assert val.denominator == 1
         return CertifiedInteger(int(val), Fraction(0))
 
-    return _certify(lambda bits: _interval_product(eps, e, subset, fld, group, bits), cap)
+    reps, stabilizer_order = _label_cosets(e, subset, group)
+    return _certify(lambda bits: _interval_product(eps, e, subset, fld, reps,
+                                                   stabilizer_order, bits), cap)
 
 
-def _interval_product(eps, e, subset, fld, group, bits):
+def _label_cosets(e, subset, group):
+    """The first element of each labelling class of group, and the class size |H|.
+
+    g labels the embedding g(t) with (t in J, e_t), and the factor of g
+    depends on g only through this labelling.  The classes are the cosets
+    gH of H = G ∩ Stab(labels), so every class has |G| / #classes elements.
+    """
+    firsts = {}
+    for g in group:
+        labels = [None] * len(e)
+        for t, exp in enumerate(e):
+            labels[g[t]] = (t in subset, exp)
+        firsts.setdefault(tuple(labels), g)
+    return tuple(firsts.values()), len(group) // len(firsts)
+
+
+def _interval_product(eps, e, subset, fld, reps, stabilizer_order, bits):
     embs = [embed(eps, i, bits) for i in range(fld.degree)]
     powers = {(i, exp): embs[i].power(exp, bits)
               for i in range(fld.degree) for exp in set(e)}
     one = _interval(1, 1, 0)
     total = one
-    for g in group:
+    for g in reps:
         a = b = one
         for t, exp in enumerate(e):
             if t in subset:
@@ -1001,6 +1029,8 @@ def _interval_product(eps, e, subset, fld, group, bits):
             else:
                 b = (b * powers[(g[t], exp)]).round(bits)
         total = (total * (a - b)).round(bits)
+    if stabilizer_order > 1:
+        total = total.power(stabilizer_order, bits)
     return total
 
 

@@ -110,6 +110,42 @@ class TestCongruenceModuleCommand:
         assert "invariant factors [5]" in out
         assert "[2] = [7] mod 5" in out
 
+    CFG = {"lattice": [[1, 1, 1], [0, 15, 0], [0, 0, 15]], "split": 1,
+           "ops": [[[2, 0, 0], [0, 17, 0], [0, 0, 17]]]}
+
+    def _run(self, tmp_path, capsys, p, *fmt):
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps(dict(self.CFG, p=p)))
+        code = run([*fmt, "congruence-module", "--config", str(path)])
+        return code, capsys.readouterr()
+
+    def test_several_primes_json(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, capsys, [5, 3, 7], "--format", "json")
+        assert code == 0
+        payloads = json.loads(out.out)
+        assert [pl["p"] for pl in payloads] == [5, 3, 7]
+        for pl in payloads:
+            code, single = self._run(tmp_path, capsys, pl["p"], "--format", "json")
+            assert code == 0
+            assert json.loads(single.out) == pl
+        assert payloads[0]["invariant_factors"] == [5]
+        assert payloads[1]["invariant_factors"] == [3]
+        assert payloads[2]["invariant_factors"] == []
+
+    def test_several_primes_text(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, capsys, [7, 5])
+        assert code == 0
+        blocks = [self._run(tmp_path, capsys, p)[1].out for p in (7, 5)]
+        assert out.out == "".join(blocks)
+        assert out.out.startswith("congruence module at p=7:")
+
+    @pytest.mark.parametrize("p", [[], [5, 4], [1], 6])
+    def test_rejects_empty_or_non_prime(self, tmp_path, capsys, p):
+        code, out = self._run(tmp_path, capsys, p)
+        assert code == 1
+        assert out.out == ""
+        assert "congruence-module 'p'" in out.err
+
 
 class TestClassifyImageCommand:
     def test_psl27(self, capsys):

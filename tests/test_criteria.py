@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hmfcert import criteria
 from hmfcert.criteria import (
     CertificationInputs,
     MixedSignature,
@@ -308,6 +309,34 @@ class TestDihedral:
         for _, st in rep.per_subset:
             assert st.kind == "indeterminate"
             assert st.note == "interval certification hit the precision cap"
+
+    def test_wreath_powers_once_per_round(self, monkeypatch):
+        # x^3 - 4x + 1 with K = F(sqrt 2) and k = (6, 4, 2): m = (0, 1, 2)
+        # and k0 - m - 1 = (5, 4, 3), so 2 signs x 3 embeddings x 6
+        # exponents = 36 distinct powers per precision level
+        f = make_field([1, -4, 0, 1])
+        kd = QuadExtDescription(delta=f.element([2]), units=((f.one, f.one),),
+                                label="Fsqrt2")
+        w = make_weight([6, 4, 2])
+        calls = {"power": 0, "embed": 0}
+        power, embed_ = DyadicInterval.power, criteria.embed
+
+        def counted_power(self, e, bits):
+            calls["power"] += 1
+            return power(self, e, bits)
+
+        def counted_embed(*args, **kwargs):
+            calls["embed"] += 1
+            return embed_(*args, **kwargs)
+
+        monkeypatch.setattr(DyadicInterval, "power", counted_power)
+        monkeypatch.setattr(criteria, "embed", counted_embed)
+        value = criteria._wreath_product_value(kd, (f.one, f.one), w, 2**16)
+        assert value == 2687832743450974656340378342003908507835826176
+        rounds = calls["embed"] // (3 * 3)  # a, b and delta at each embedding
+        exponents = set(w.m) | {w.k0 - m - 1 for m in w.m}
+        assert rounds >= 1
+        assert calls["power"] <= rounds * 2 * 3 * len(exponents)
 
 
 class TestCertify:

@@ -96,13 +96,14 @@ class TestDLocalFactor:
 
 class TestLocalFactorTypes:
     def test_products_are_complex(self):
-        # a product seeded with the int 1 would leave an int constant term;
-        # the D numerator is written out as [1, 0, -|ab|^2]
+        # a product seeded with the int 1 would leave an int constant term,
+        # and so would a D numerator written out with the ints 1 and 0
         rng = random.Random(3)
         for _ in range(10):
             e = ramanujan_sample(rng.choice([2, 3, 5, 7]), rng.choice([2, 3, 4]),
                                  rng.uniform(0, 6.3), rng.uniform(0, 6.3))
-            for c in adjoint_local_factor(e) + d_local_factor(e).denominator:
+            f = d_local_factor(e)
+            for c in adjoint_local_factor(e) + f.denominator + f.numerator:
                 assert type(c) is complex
 
 

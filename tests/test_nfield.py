@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -778,6 +779,149 @@ class TestSingleProductIsDifferenceForm:
                 assert isinstance(single, CertifiedInteger)
                 assert single == symmetrized_difference_norm(eps, e, (0,) * d, range(d))
             checked += 1
+
+
+KLEIN_QUARTIC = [1, 0, -4, 0, 1]
+KLEIN_GALOIS = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 3, 0, 1]]
+
+
+def full_group_product(eps, e, subset, fld, group, bits):
+    """One interval factor per element of group, every one multiplied out.
+
+    The evaluation before equal factors were collapsed to one per coset.
+    """
+    embs = [embed(eps, i, bits) for i in range(fld.degree)]
+    powers = {(i, exp): embs[i].power(exp, bits)
+              for i in range(fld.degree) for exp in set(e)}
+    one = DyadicInterval(1, 1)
+    total = one
+    for g in group:
+        a = b = one
+        for t, exp in enumerate(e):
+            if t in subset:
+                a = (a * powers[(g[t], exp)]).round(bits)
+            else:
+                b = (b * powers[(g[t], exp)]).round(bits)
+        total = (total * (a - b)).round(bits)
+    return total
+
+
+def _labelling(g, e, subset):
+    labels = [None] * len(e)
+    for t, exp in enumerate(e):
+        labels[g[t]] = (t in subset, exp)
+    return tuple(labels)
+
+
+def _certified_value(run):
+    try:
+        return run().value
+    except Indeterminate:
+        return Indeterminate
+
+
+class TestDistinctFactors:
+    """The product over G is the product over one element per labelling coset, to the |H|."""
+
+    @pytest.mark.parametrize("poly, galois, seed", [
+        ([1, -4, 0, 1], None, 3),
+        (KLEIN_QUARTIC, None, 4),
+        (CYCLIC_QUINTIC, None, 5),
+        (CYCLIC_QUINTIC, CYCLIC_QUINTIC_GALOIS, 6),
+    ])
+    def test_values_match_full_group_oracle(self, poly, galois, seed):
+        fld = make_field(poly, galois)
+        d = fld.degree
+        group = nfield._symmetrization_group(fld)
+        rng = random.Random(seed)
+        cap = 1024
+        collapsed = 0
+        for _ in range(8):
+            eps = rng.choice((fld.gen, fld.gen * fld.gen))
+            e_on = tuple(rng.choice((-1, 0, 1, 2)) for _ in range(d))
+            e_off = tuple(rng.choice((-1, 0, 1)) for _ in range(d))
+            subset = frozenset(t for t in range(d) if rng.random() < 0.5)
+            exps = [e_on[t] if t in subset else e_off[t] for t in range(d)]
+            want = _certified_value(lambda: _certify(
+                lambda bits: full_group_product(eps, exps, subset, fld, group, bits), cap))
+            got = _certified_value(lambda: symmetrized_difference_norm(
+                eps, e_on, e_off, subset, precision_cap=cap))
+            assert got == want, (e_on, e_off, subset)
+            collapsed += nfield._label_cosets(exps, subset, group)[1] > 1
+            if len(set(e_on)) == 1:
+                continue
+            want = _certified_value(lambda: _certify(
+                lambda bits: full_group_product(eps, e_on, range(d), fld, group, bits), cap))
+            got = _certified_value(lambda: symmetrized_norm(eps, e_on, precision_cap=cap))
+            assert got == want, e_on
+            collapsed += nfield._label_cosets(e_on, range(d), group)[1] > 1
+        # without Galois data the seeded exponents repeat, so some products collapse
+        assert (collapsed > 0) == (galois is None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["S3", "S4", "S5", "C3", "C5", "V4"]), st.data())
+    def test_cosets_of_the_label_stabilizer(self, name, data):
+        d = int(name[1])
+        group = {
+            "C3": ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+            "C5": tuple(map(tuple, CYCLIC_QUINTIC_GALOIS)),
+            "V4": tuple(map(tuple, KLEIN_GALOIS)),
+        }.get(name) or tuple(itertools.permutations(range(d)))
+        e = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        subset = frozenset(data.draw(st.sets(st.integers(0, d - 1))))
+        reps, h = nfield._label_cosets(e, subset, group)
+        assert len(reps) * h == len(group)
+        labels = [_labelling(g, e, subset) for g in reps]
+        assert len(set(labels)) == len(reps)
+        # each labelling of the group is one of the representatives', h times,
+        # and each representative is the first element with its labelling
+        every = [_labelling(g, e, subset) for g in group]
+        assert all(every.count(lab) == h for lab in labels)
+        assert [every.index(lab) for lab in labels] == sorted(group.index(g) for g in reps)
+        distinct = len(set(zip([t in subset for t in range(d)], e))) == d
+        cyclic_prime = name in ("C3", "C5") and len(set(every[0])) > 1
+        if distinct or cyclic_prime:
+            assert reps == group
+            assert h == 1
+
+    def test_klein_data_can_collapse(self):
+        # a regular group still fixes the labelling (a, b, b, a) by (03)(12)
+        group = tuple(map(tuple, KLEIN_GALOIS))
+        reps, h = nfield._label_cosets((2, 1, 1, 2), range(4), group)
+        assert h == 2
+        assert reps == ((0, 1, 2, 3), (1, 0, 3, 2))
+        fld = make_field(KLEIN_QUARTIC, KLEIN_GALOIS)
+        eps = fld.gen * fld.gen
+        want = _certify(lambda bits: full_group_product(
+            eps, (2, 1, 1, 2), range(4), fld, group, bits), 1024)
+        assert want.value == 144
+        assert symmetrized_norm(eps, (2, 1, 1, 2), precision_cap=1024).value == 144
+
+    def test_s5_multiplications_per_level(self, monkeypatch):
+        # S_5 quintic without Galois data: the labels (off, 0), (on, 2),
+        # (on, 2), (off, -1), (off, -1) are fixed by 4 permutations, so 30
+        # distinct factors of 6 products each, 5 squares and 3 for the 4th
+        # power make 188 products; all 120 factors make 725
+        fld = make_field(CYCLIC_QUINTIC)
+        eps = fld.gen * fld.gen
+        calls = {"mul": 0, "embed": 0}
+        mul, embed_ = DyadicInterval.__mul__, nfield.embed
+
+        def counted_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        def counted_embed(*args, **kwargs):
+            calls["embed"] += 1
+            return embed_(*args, **kwargs)
+
+        monkeypatch.setattr(DyadicInterval, "__mul__", counted_mul)
+        monkeypatch.setattr(nfield, "embed", counted_embed)
+        got = symmetrized_difference_norm(eps, (3, 2, 2, 2, 2), (0, -1, -1, -1, -1), {1, 2})
+        assert isinstance(got, CertifiedInteger)
+        rounds = calls["embed"] // 5
+        assert rounds >= 1
+        assert calls["mul"] <= 200 * rounds
 
 
 def _sympy_verdict(coeffs):
