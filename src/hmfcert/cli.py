@@ -199,17 +199,19 @@ def _cmd_congruence_module(args) -> int:
             raise UsageError(f"congruence-module 'p' entry {p} is not prime")
     ops = ([tuple(tuple(int(x) for x in row) for row in op) for op in cfg["ops"]]
            if "ops" in cfg else None)
+    if ops is None:
+        found = [(cm, None) for cm in lattice.congruence_modules(lat, split, ps)]
+    else:
+        found = [(res.module, res) for res in lattice._find_congruences(ops, lat, split, ps)]
     payloads = []
-    for cm in lattice.congruence_modules(lat, split, ps):
-        p = cm.p
+    for cm, res in found:
         payload = {
-            "p": p,
+            "p": cm.p,
             "invariant_factors": list(cm.invariant_factors),
             "three_way": [list(t) for t in cm.three_way],
             "order": cm.order,
         }
-        if ops is not None:
-            res = lattice.find_congruences(ops, lat, split, p)
+        if res is not None:
             payload["congruent_pairs"] = [
                 {"side1": list(e1.values), "side2": list(e2.values)}
                 for e1, e2 in res.pairs

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from .nfield import (
     DEFAULT_PRECISION_CAP,
     ZERO,
-    DyadicInterval,
     Field,
     FieldElem,
     Indeterminate,
     Zero,
-    _certify,
+    _certified_product,
     _symmetrization_group,
     embed,
     embed_sign,
@@ -181,6 +180,13 @@ def _factor_primes(value: int):
         return primes, note, True
 
 
+def _excludes(value: int, unit_index: int) -> SubsetStatus:
+    """The status of a certified nonzero value: the primes dividing it."""
+    primes, note, incomplete = _factor_primes(value)
+    return SubsetStatus(kind="excludes", primes=primes, value=value,
+                        unit_index=unit_index, note=note, incomplete=incomplete)
+
+
 def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
     """Per-subset unit-norm criterion for residual irreducibility.
 
@@ -227,10 +233,7 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
                 raise FormDisagreement(
                     f"J={subset_label(mask)}: forms give {v1} vs {v2}"
                 )
-            primes, note, incomplete = _factor_primes(v1.value)
-            status = SubsetStatus(kind="excludes", primes=primes,
-                                  value=v1.value, unit_index=i, note=note,
-                                  incomplete=incomplete)
+            status = _excludes(v1.value, i)
             break
         per.append((mask, status))
         if status.kind == "excludes":
@@ -248,7 +251,7 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
 
 
 def _k_norm_exact_base_q(kd: QuadExtDescription, unit_pair, w: Weight):
-    """Exact norm for d = 1: the criterion element lives inside K itself."""
+    """Exact value, ZERO or an int, for d = 1: the criterion element lives in K."""
     fld = kd.delta.field
     delta = kd.delta
     a, b = unit_pair
@@ -267,22 +270,23 @@ def _k_norm_exact_base_q(kd: QuadExtDescription, unit_pair, w: Weight):
     m0 = w.m[0]
     x = kmul(kpow(eps, m0), kpow(ceps, w.k0 - m0 - 1))
     x = (x[0] - fld.one, x[1])
-    nk_f = x[0] * x[0] - delta * x[1] * x[1]  # norm from K to F
-    return norm(nk_f)
+    val = norm(x[0] * x[0] - delta * x[1] * x[1])  # norm from K to F, then to Q
+    assert val.denominator == 1
+    return ZERO if val == 0 else int(val)
 
 
 def dihedral_noncm_excluded(inputs: CertificationInputs, k_index: int) -> CriterionReport:
     """Unit-norm criterion along a totally real quadratic extension.
 
-    For F = Q the value per embedding assignment is computed exactly in K.
-    For higher degree the certified integer is the full product over all
-    sign assignments and base permutations (a sound integer multiple of the
-    norm), shared by every assignment.
+    The first unit with a nonzero value gives one status, shared by every
+    embedding assignment.  For F = Q the value is computed exactly in K.
+    For higher degree it is the certified full product over all sign
+    assignments and base permutations (a sound integer multiple of each
+    assignment's norm).
     """
     kd = inputs.quadratic_extensions[k_index]
     w = inputs.weight
-    fld = inputs.field
-    d = fld.degree
+    d = inputs.field.degree
     if kd.is_cm:
         status = SubsetStatus(
             kind="indeterminate",
@@ -295,71 +299,41 @@ def dihedral_noncm_excluded(inputs: CertificationInputs, k_index: int) -> Criter
             notes=("CM-type extension reported, never evaluated",),
         )
     notes = [UNIT_CONGRUENCE_NOTE]
-    per = []
-    agg: set[int] = set()
-    if d == 1:
-        for amask in range(2):
-            status = SubsetStatus(kind="degenerate",
-                                  note="every supplied unit gives an exact zero"
-                                  if kd.units else "no units supplied")
-            for i, pair in enumerate(kd.units):
-                val = _k_norm_exact_base_q(kd, pair, w)
-                assert val.denominator == 1
-                val = int(val)
-                if val == 0:
-                    continue
-                primes, note, incomplete = _factor_primes(val)
-                status = SubsetStatus(kind="excludes", primes=primes, value=val,
-                                      unit_index=i, note=note,
-                                      incomplete=incomplete)
-                break
-            per.append((amask, status))
-            if status.kind == "excludes":
-                agg.update(status.primes)
-    else:
-        value = None
-        status_note = ""
-        unit_idx = None
-        for i, pair in enumerate(kd.units):
-            try:
-                outcome = _wreath_product_value(kd, pair, w, inputs.precision_cap)
-            except Indeterminate:
-                status_note = "interval certification hit the precision cap"
-                continue
-            if isinstance(outcome, Zero):
-                continue
-            value = outcome
-            unit_idx = i
-            break
+    if d > 1:
         notes.append(
             "certified value is the full sign-assignment product "
             "(integer multiple of each assignment norm)"
         )
-        for amask in range(1 << d):
-            if value is not None:
-                primes, note, incomplete = _factor_primes(value)
-                status = SubsetStatus(kind="excludes", primes=primes, value=value,
-                                      unit_index=unit_idx, note=note,
-                                      incomplete=incomplete)
-            elif status_note:
-                status = SubsetStatus(kind="indeterminate", note=status_note)
-            else:
-                status = SubsetStatus(kind="degenerate",
-                                      note="every supplied unit gives an exact zero"
-                                      if kd.units else "no units supplied")
-            per.append((amask, status))
-            if status.kind == "excludes":
-                agg.update(status.primes)
+    status = SubsetStatus(kind="degenerate",
+                          note="every supplied unit gives an exact zero"
+                          if kd.units else "no units supplied")
+    for i, pair in enumerate(kd.units):
+        try:
+            value = (_k_norm_exact_base_q(kd, pair, w) if d == 1
+                     else _wreath_product_value(kd, pair, w, inputs.precision_cap))
+        except Indeterminate:
+            status = SubsetStatus(kind="indeterminate",
+                                  note="interval certification hit the precision cap")
+            continue
+        if isinstance(value, Zero):
+            continue
+        status = _excludes(value, i)
+        break
     return CriterionReport(
         criterion_id=f"dihedral[{kd.label}]",
-        per_subset=tuple(per),
-        aggregate=tuple(sorted(agg)),
+        per_subset=tuple((amask, status) for amask in range(1 << d)),
+        aggregate=status.primes,
         notes=tuple(notes),
     )
 
 
 def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
-    """Certified product over all assignments and group elements.
+    """Certified product over all sign assignments and group elements.
+
+    The 2d real embeddings of K = F(sqrt(delta)) are a_j + (-1)^u b_j sqrt(delta_j)
+    at position 2j + u; position 2t carries the exponent m_t and 2t + 1 the
+    exponent k0 - m_t - 1, and C_2 wr G permutes the positions.  The product
+    is nfield's symmetrized kernel with J = every position.
 
     Returns an int, or ZERO when the unit lies in F and the exact value
     vanishes; raises Indeterminate when no integer is pinned at the cap.
@@ -376,32 +350,17 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
         total = base ** ((1 << d) * len(group))
         assert total.denominator == 1
         return int(total)
-    exponents = set(w.m) | {w.k0 - m - 1 for m in w.m}
 
-    def evaluate(bits):
-        emb_a = [embed(a, j, bits) for j in range(d)]
-        emb_b = [embed(b, j, bits) for j in range(d)]
-        emb_sd = [embed(kd.delta, j, bits).sqrt(bits) for j in range(d)]
-        emb = {}
-        for j in range(d):
-            root = (emb_b[j] * emb_sd[j]).round(bits)
-            emb[(j, 1)] = emb_a[j] + root
-            emb[(j, -1)] = emb_a[j] - root
-        powers = {(j, s, x): emb[(j, s)].power(x, bits)
-                  for (j, s) in emb for x in exponents}
-        one = DyadicInterval(1, 1)
-        total = one
-        for signs in itertools.product((1, -1), repeat=d):
-            for g in group:
-                f = one
-                for t in range(d):
-                    up = powers[(g[t], signs[t], w.m[t])]
-                    dn = powers[(g[t], -signs[t], w.k0 - w.m[t] - 1)]
-                    f = (f * up * dn).round(bits)
-                total = (total * (f - one)).round(bits)
-        return total
+    def embeddings(bits):
+        emb_a, emb_b, emb_delta = ([embed(x, j, bits) for j in range(d)] for x in (a, b, kd.delta))
+        roots = [(y * z.sqrt(bits)).round(bits) for y, z in zip(emb_b, emb_delta)]
+        return [v for x, r in zip(emb_a, roots) for v in (x + r, x - r)]
 
-    return _certify(evaluate, cap).value
+    exponents = [x for m in w.m for x in (m, w.k0 - m - 1)]
+    # (signs, g) sends position 2t + u to 2 g(t) + (u xor signs_t)
+    wreath = [tuple(2 * g[t] + (u ^ signs[t]) for t in range(d) for u in (0, 1))
+              for signs in itertools.product((0, 1), repeat=d) for g in group]
+    return _certified_product(embeddings, exponents, range(2 * d), wreath, cap).value
 
 
 # ---------------------------------------------------------------------------

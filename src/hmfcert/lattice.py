@@ -616,10 +616,6 @@ def disc_pairing(gram, d: int) -> DiscPairing:
 # eigensystems and congruence detection
 
 
-class ExtensionNeeded(Exception):
-    pass
-
-
 def _charpoly(m) -> list[Fraction]:
     """Characteristic polynomial det(xI - M), low degree first, exact.
 
@@ -745,8 +741,15 @@ def find_congruences(ops, lat: Lattice, s: Split, p: int) -> CongruenceSearch:
     not rational integers are counted in extension_needed rather than
     enumerated.
     """
+    return _find_congruences(ops, lat, s, (p,))[0]
+
+
+def _find_congruences(ops, lat: Lattice, s: Split, primes) -> tuple[CongruenceSearch, ...]:
+    """find_congruences at each of primes, in order.
+
+    The checks, the eigensystems and the split do not depend on p: each is made once.
+    """
     ops = [_as_matrix(op) for op in ops]
-    n = lat.ambient_dim
     for a in ops:
         for b in ops:
             if mat_mul(a, b) != mat_mul(b, a):
@@ -764,10 +767,9 @@ def find_congruences(ops, lat: Lattice, s: Split, p: int) -> CongruenceSearch:
 
     side1, ext1 = eigensystems(s.v1_basis)
     side2, ext2 = eigensystems(s.v2_basis)
-    pairs = []
-    for e1 in side1:
-        for e2 in side2:
-            if all((a - b) % p == 0 for a, b in zip(e1.values, e2.values)):
-                pairs.append((e1, e2))
-    module = congruence_module(lat, s, p)
-    return CongruenceSearch(side1, side2, ext1, ext2, tuple(pairs), module)
+    out = []
+    for module in congruence_modules(lat, s, primes):
+        pairs = tuple((e1, e2) for e1 in side1 for e2 in side2
+                      if all((a - b) % module.p == 0 for a, b in zip(e1.values, e2.values)))
+        out.append(CongruenceSearch(side1, side2, ext1, ext2, pairs, module))
+    return tuple(out)

@@ -31,9 +31,12 @@ The certified kernel is symmetrized_norm: the integer
 prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 ),
 and its two-product form symmetrized_difference_norm.  Both share one
 body, exact where eps is rational or the field is quadratic; elsewhere the
-integer comes from _certify, the one precision-escalation driver, which
-doubles the bits of an interval evaluation from 64 up to the cap until the
-interval pins an integer.
+integer comes from the interval kernel _certified_product.  The kernel
+takes embedding intervals (a function of the bits) and a permutation group
+on their indices, so the dihedral criterion runs on it too: the 2d real
+embeddings of K = F(sqrt(delta)) under C_2 wr G, with J = every position.
+_certify, the one precision-escalation driver, doubles the bits from 64
+up to the cap until the interval pins an integer.
 
 The factor of sigma depends on sigma only through the labelling it puts
 on the embeddings: embedding sigma(tau) gets (tau in J, e_tau).  Elements
@@ -378,18 +381,15 @@ def _sign_variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_root_count(p, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in (lo, hi]."""
-    chain = _sturm_chain([Fraction(c) for c in p])
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def _isolate_real_roots(p) -> tuple[int, list[tuple[Fraction, Fraction]] | None]:
+    """(number of distinct real roots, isolating intervals or None).
 
-
-def _isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals (lo, hi] for the real roots, ascending."""
+    The disjoint intervals (lo, hi], ascending, come only when every root
+    is real and simple; bisection needs a squarefree p to terminate.
+    """
     p = [Fraction(c) for c in p]
     chain = _sturm_chain(p)
-    bound = Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1]) if len(p) > 1 else Fraction(1)
-    bound = Fraction(math.ceil(bound))
+    bound = Fraction(math.ceil(1 + max(abs(c) for c in p[:-1]) / abs(p[-1])))
 
     out = []
 
@@ -405,8 +405,10 @@ def _isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
         recurse(mid, hi, count - left)
 
     total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
+    if total < len(p) - 1:
+        return total, None
     recurse(-bound, bound, total)
-    return out
+    return total, out
 
 
 def _sign_at(p, m: int, exp: int) -> int:
@@ -632,8 +634,7 @@ def make_field(coeffs, galois=None) -> Field:
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     d = len(coeffs) - 1
-    count = sturm_root_count(coeffs, *_root_bounds(coeffs))
-    intervals = _isolate_real_roots(coeffs) if count == d else None
+    count, intervals = _isolate_real_roots(coeffs)
     if d > 1:
         if intervals is not None and d <= 5:
             reducible = _has_small_factor(coeffs, intervals)
@@ -701,11 +702,6 @@ def _integers_in(iv: DyadicInterval) -> range:
 def _divides(p, f) -> bool:
     """Whether the monic integer polynomial f divides p (low degree first)."""
     return not any(_poly_rem(p, f))
-
-
-def _root_bounds(p):
-    b = Fraction(1) + max(abs(Fraction(c)) for c in p[:-1]) / abs(Fraction(p[-1]))
-    return -b, b
 
 
 def _validate_galois(perms, d):
@@ -968,8 +964,8 @@ def _symmetrized(eps, e, subset, fld, group, cap):
                           - prod_{t not in J} emb_{g(t)}(eps)^e_t), J = subset.
 
     Exact when eps is rational (+-1) or the field is quadratic, where the
-    product is the norm of a - b; certified by _certify over intervals
-    otherwise.
+    product is the norm of a - b; otherwise _certified_product on the d
+    embeddings of eps.
     """
     d = fld.degree
     if eps.is_rational():
@@ -994,8 +990,18 @@ def _symmetrized(eps, e, subset, fld, group, cap):
         assert val.denominator == 1
         return CertifiedInteger(int(val), Fraction(0))
 
+    return _certified_product(lambda bits: [embed(eps, i, bits) for i in range(d)],
+                              e, subset, group, cap)
+
+
+def _certified_product(embeddings, e, subset, group, cap):
+    """_certify of prod_{g in group}(prod_{t in J} x_{g(t)}^e_t - prod_{t not in J} x_{g(t)}^e_t).
+
+    embeddings(bits) lists intervals around the reals x_0, x_1, ...; group
+    permutes their indices.
+    """
     reps, stabilizer_order = _label_cosets(e, subset, group)
-    return _certify(lambda bits: _interval_product(eps, e, subset, fld, reps,
+    return _certify(lambda bits: _interval_product(embeddings(bits), e, subset, reps,
                                                    stabilizer_order, bits), cap)
 
 
@@ -1015,10 +1021,8 @@ def _label_cosets(e, subset, group):
     return tuple(firsts.values()), len(group) // len(firsts)
 
 
-def _interval_product(eps, e, subset, fld, reps, stabilizer_order, bits):
-    embs = [embed(eps, i, bits) for i in range(fld.degree)]
-    powers = {(i, exp): embs[i].power(exp, bits)
-              for i in range(fld.degree) for exp in set(e)}
+def _interval_product(embs, e, subset, reps, stabilizer_order, bits):
+    powers = {(i, exp): x.power(exp, bits) for i, x in enumerate(embs) for exp in set(e)}
     one = _interval(1, 1, 0)
     total = one
     for g in reps:

@@ -128,7 +128,3 @@ def factor(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return out
-
-
-def prime_divisors(n: int) -> frozenset[int]:
-    return frozenset(factor(n))

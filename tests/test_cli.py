@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hmfcert import lattice
 from hmfcert.cli import load_config, run
 
 
@@ -138,6 +139,26 @@ class TestCongruenceModuleCommand:
         blocks = [self._run(tmp_path, capsys, p)[1].out for p in (7, 5)]
         assert out.out == "".join(blocks)
         assert out.out.startswith("congruence module at p=7:")
+
+    def test_several_primes_split_once(self, tmp_path, capsys, monkeypatch):
+        # the split and both sides' eigensystems do not depend on p
+        calls = {"split": 0, "eigensystems": 0}
+        split, eigensystems = lattice.split_lattice, lattice._split_eigensystems
+
+        def counted_split(*args):
+            calls["split"] += 1
+            return split(*args)
+
+        def counted_eigensystems(*args):
+            calls["eigensystems"] += 1
+            return eigensystems(*args)
+
+        monkeypatch.setattr(lattice, "split_lattice", counted_split)
+        monkeypatch.setattr(lattice, "_split_eigensystems", counted_eigensystems)
+        code, out = self._run(tmp_path, capsys, [5, 3, 7], "--format", "json")
+        assert code == 0
+        assert [pl["p"] for pl in json.loads(out.out)] == [5, 3, 7]
+        assert calls == {"split": 1, "eigensystems": 2}
 
     @pytest.mark.parametrize("p", [[], [5, 4], [1], 6])
     def test_rejects_empty_or_non_prime(self, tmp_path, capsys, p):

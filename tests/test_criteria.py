@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from hmfcert import criteria
+from hmfcert import criteria, nfield
 from hmfcert.criteria import (
     CertificationInputs,
     MixedSignature,
@@ -91,6 +92,40 @@ def irr_fast_path_cubic(inputs: CertificationInputs):
             raise Indeterminate(cap)
         agg.update(factor(value))
     return tuple(sorted(agg))
+
+
+def wreath_product_oracle(kd: QuadExtDescription, pair, w, bits):
+    """Interval around the dihedral product, one factor per (signs, g).
+
+    The loop that evaluated _wreath_product_value before it ran on the
+    shared symmetrized kernel: every sign assignment and group element is
+    multiplied out, and up * dn is rounded once per embedding.
+    """
+    fld = kd.delta.field
+    d = fld.degree
+    a, b = pair
+    group = nfield._symmetrization_group(fld)
+    exponents = set(w.m) | {w.k0 - m - 1 for m in w.m}
+    emb_a = [embed(a, j, bits) for j in range(d)]
+    emb_b = [embed(b, j, bits) for j in range(d)]
+    emb_sd = [embed(kd.delta, j, bits).sqrt(bits) for j in range(d)]
+    emb = {}
+    for j in range(d):
+        root = (emb_b[j] * emb_sd[j]).round(bits)
+        emb[(j, 1)] = emb_a[j] + root
+        emb[(j, -1)] = emb_a[j] - root
+    powers = {(j, s, x): emb[(j, s)].power(x, bits) for (j, s) in emb for x in exponents}
+    one = DyadicInterval(1, 1)
+    total = one
+    for signs in itertools.product((1, -1), repeat=d):
+        for g in group:
+            f = one
+            for t in range(d):
+                up = powers[(g[t], signs[t], w.m[t])]
+                dn = powers[(g[t], -signs[t], w.k0 - w.m[t] - 1)]
+                f = (f * up * dn).round(bits)
+            total = (total * (f - one)).round(bits)
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +372,121 @@ class TestDihedral:
         exponents = set(w.m) | {w.k0 - m - 1 for m in w.m}
         assert rounds >= 1
         assert calls["power"] <= rounds * 2 * 3 * len(exponents)
+
+    def test_wreath_multiplications_per_level(self, monkeypatch):
+        # k = (4, 4, 4): every position carries exponent 0 or 3, so the 48
+        # elements of C_2 wr S_3 give 8 labellings with stabilizers of order
+        # 6.  8 factors of 7 products, 12 for the cubes, 5 for the 6th power
+        # and 3 for b * sqrt(delta) make 76; all 48 factors make 351
+        f = make_field([1, -4, 0, 1])
+        kd = QuadExtDescription(delta=f.element([2]), units=((f.one, f.one),),
+                                label="Fsqrt2")
+        calls = {"mul": 0, "embed": 0}
+        mul, embed_ = DyadicInterval.__mul__, criteria.embed
+
+        def counted_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        def counted_embed(*args, **kwargs):
+            calls["embed"] += 1
+            return embed_(*args, **kwargs)
+
+        monkeypatch.setattr(DyadicInterval, "__mul__", counted_mul)
+        monkeypatch.setattr(criteria, "embed", counted_embed)
+        value = criteria._wreath_product_value(kd, (f.one, f.one), make_weight([4, 4, 4]), 2**16)
+        assert isinstance(value, int) and value != 0
+        rounds = calls["embed"] // (3 * 3)
+        assert rounds >= 1
+        assert calls["mul"] <= 80 * rounds
+
+    def test_one_factorization_per_report(self, monkeypatch):
+        # the 8 assignment masks of a d = 3 report share one status
+        f = make_field([1, -4, 0, 1])
+        kd = QuadExtDescription(delta=f.element([2]), units=((f.one, f.one),),
+                                label="Fsqrt2")
+        inputs = CertificationInputs(field=f, weight=make_weight([4, 2, 2]), delta=1,
+                                     units=(f.gen * f.gen,), quadratic_extensions=(kd,))
+        factored = []
+        factor_ = criteria.factor
+
+        def counted_factor(n):
+            factored.append(n)
+            return factor_(n)
+
+        monkeypatch.setattr(criteria, "factor", counted_factor)
+        rep = dihedral_noncm_excluded(inputs, 0)
+        assert factored == [1103060965837930140591456256]
+        assert rep.aggregate == (2, 7, 41)
+        assert len({st for _, st in rep.per_subset}) == 1
+
+    def test_exact_value_once_per_unit_tried(self, rational_field, monkeypatch):
+        # d = 1: the first unit gives an exact zero, the second -2
+        f = rational_field
+        kd = QuadExtDescription(delta=f.element([2]),
+                                units=((f.one, f.zero), (f.one, f.one), (f.one, f.one)),
+                                label="Qsqrt2")
+        inputs = CertificationInputs(field=f, weight=make_weight([2]), delta=8,
+                                     units=(f.one,), quadratic_extensions=(kd,))
+        tried = []
+        exact = criteria._k_norm_exact_base_q
+
+        def counted_exact(kd_, pair, w):
+            tried.append(pair)
+            return exact(kd_, pair, w)
+
+        monkeypatch.setattr(criteria, "_k_norm_exact_base_q", counted_exact)
+        rep = dihedral_noncm_excluded(inputs, 0)
+        assert tried == list(kd.units[:2])
+        assert [(st.kind, st.value, st.unit_index) for _, st in rep.per_subset] == \
+            [("excludes", -2, 1)] * 2
+
+
+KLEIN_QUARTIC = [1, 0, -4, 0, 1]
+KLEIN_GALOIS = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 3, 0, 1]]
+
+
+def _value_or_indeterminate(run):
+    try:
+        return run()
+    except Indeterminate:
+        return Indeterminate
+
+
+class TestWreathOracle:
+    """_wreath_product_value agrees with the multiplied-out product over C_2 wr G."""
+
+    # (poly, galois, delta, units, k, certified): certified says whether the
+    # first unit pins a value at 1024 bits, so the comparison is never vacuous
+    CASES = [
+        ([1, -4, 0, 1], None, [2], [([1], [1]), ([3], [2])], (6, 4, 2), True),
+        ([1, -4, 0, 1], None, [2], [([1], [1]), ([3], [2])], (4, 4, 4), True),
+        ([1, -4, 0, 1], None, [2], [([1], [1]), ([3], [2])], (4, 2, 2), True),
+        ([1, -4, 0, 1], None, [2], [([1], [1]), ([3], [2])], (2, 2, 2), True),
+        ([-5, 0, 1], None, [3], [([2], [1])], (4, 2), True),
+        ([-1, -3, 0, 1], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [2], [([1], [1])], (4, 2, 2), True),
+        # 2 + sqrt 5 comes from Q(sqrt 5): some sign assignments give exactly 0
+        (KLEIN_QUARTIC, None, [5], [([2], [1])], (2, 2, 2, 2), False),
+        (KLEIN_QUARTIC, KLEIN_GALOIS, [5], [([2], [1])], (2, 2, 2, 2), False),
+        (KLEIN_QUARTIC, KLEIN_GALOIS, [5], [([-3, -2, 3], [0, 1])], (4, 2, 2, 2), True),
+    ]
+
+    @pytest.mark.parametrize("poly, galois, delta, units, k, certified", CASES)
+    def test_matches_multiplied_out_oracle(self, poly, galois, delta, units, k, certified):
+        fld = make_field(poly, galois)
+        kd = QuadExtDescription(
+            delta=fld.element(delta),
+            units=tuple((fld.element(a), fld.element(b)) for a, b in units), label="K")
+        w = make_weight(list(k))
+        outcomes = []
+        for pair in kd.units:
+            want = _value_or_indeterminate(lambda: nfield._certify(
+                lambda bits: wreath_product_oracle(kd, pair, w, bits), 1024).value)
+            got = _value_or_indeterminate(
+                lambda: criteria._wreath_product_value(kd, pair, w, 1024))
+            assert got == want, pair
+            outcomes.append(want)
+        assert (outcomes[0] is not Indeterminate) == certified
 
 
 class TestCertify:
