@@ -87,12 +87,13 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
         tuple(tuple(int(i) for i in block) for block in part)
         for part in cfg.get("criteria", {}).get("fiber_partitions", [])
     )
-    cap = precision_cap or int(cfg.get("output", {}).get("precision_cap",
-                                                         nfield.DEFAULT_PRECISION_CAP))
+    if precision_cap is None:
+        precision_cap = int(cfg.get("output", {}).get("precision_cap",
+                                                      nfield.DEFAULT_PRECISION_CAP))
     return criteria.CertificationInputs(
         field=fld, weight=w, delta=delta, units=units,
         quadratic_extensions=tuple(quads), fiber_partitions=fibers,
-        h_f=h_f, precision_cap=cap,
+        h_f=h_f, precision_cap=precision_cap,
     )
 
 

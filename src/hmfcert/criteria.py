@@ -22,6 +22,8 @@ from .nfield import (
     FieldElem,
     Indeterminate,
     Zero,
+    _START_BITS,
+    _PowerTable,
     _certified_product,
     _symmetrization_group,
     embed,
@@ -151,6 +153,9 @@ class CertificationInputs:
             raise ValueError("field degree and weight length differ")
         if self.delta < 1:
             raise ValueError("delta must be a positive integer")
+        if self.precision_cap < _START_BITS:
+            raise ValueError(f"precision cap {self.precision_cap} is below {_START_BITS}, "
+                             "the first precision level, so nothing could be certified")
         for u in self.units:
             if abs(norm(u)) != 1:
                 raise ValueError(f"unit {u} does not have norm +-1")
@@ -351,16 +356,16 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
         assert total.denominator == 1
         return int(total)
 
-    def embeddings(bits):
+    def table(bits):
         emb_a, emb_b, emb_delta = ([embed(x, j, bits) for j in range(d)] for x in (a, b, kd.delta))
         roots = [(y * z.sqrt(bits)).round(bits) for y, z in zip(emb_b, emb_delta)]
-        return [v for x, r in zip(emb_a, roots) for v in (x + r, x - r)]
+        return _PowerTable([v for x, r in zip(emb_a, roots) for v in (x + r, x - r)], bits)
 
     exponents = [x for m in w.m for x in (m, w.k0 - m - 1)]
     # (signs, g) sends position 2t + u to 2 g(t) + (u xor signs_t)
     wreath = [tuple(2 * g[t] + (u ^ signs[t]) for t in range(d) for u in (0, 1))
               for signs in itertools.product((0, 1), repeat=d) for g in group]
-    return _certified_product(embeddings, exponents, range(2 * d), wreath, cap).value
+    return _certified_product(table, exponents, range(2 * d), wreath, cap).value
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,25 @@ prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 ),
 and its two-product form symmetrized_difference_norm.  Both share one
 body, exact where eps is rational or the field is quadratic; elsewhere the
 integer comes from the interval kernel _certified_product.  The kernel
-takes embedding intervals (a function of the bits) and a permutation group
-on their indices, so the dihedral criterion runs on it too: the 2d real
-embeddings of K = F(sqrt(delta)) under C_2 wr G, with J = every position.
-_certify, the one precision-escalation driver, doubles the bits from 64
-up to the cap until the interval pins an integer.
+takes a _PowerTable of intervals (a function of the bits) and a
+permutation group on their indices, so the dihedral criterion runs on it
+too: the 2d real embeddings of K = F(sqrt(delta)) under C_2 wr G, with
+J = every position.  _certify, the one precision-escalation loop,
+doubles the bits from 64 up to the cap until the interval pins an integer.
+
+A certificate evaluates both forms for every subset J on the same unit,
+so the per-unit work is done once.  The field keeps, beside its root
+cache, one _UnitMemo per element value (each element object looks it up
+once): norm(eps) and, per precision level, a _PowerTable of the d
+embedding intervals of eps with their powers, filled in on first use.  A
+level's table is used only while the root cells embed would start from,
+_refined_root(i, bits + 4), are the ones it was built from.  embed's
+output is a function of those cells, so a hit is exactly the interval
+embed would compute now; once a deeper level has refined the roots, the
+table is rebuilt in place.  _interval_product runs over the tables'
+integer mantissas (lo_m, hi_m, exp) in one flat loop, with the multiply,
+align-subtract and rounding steps of the DyadicInterval operations in the
+same order, so its intervals are bit-identical to theirs.
 
 The factor of sigma depends on sigma only through the labelling it puts
 on the embeddings: embedding sigma(tau) gets (tau in J, e_tau).  Elements
@@ -55,6 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import _solve, bareiss_det
 
@@ -94,6 +109,7 @@ class Indeterminate(Exception):
 
 
 DEFAULT_PRECISION_CAP = 2**16
+_START_BITS = 64  # the first precision level of _certify
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +504,7 @@ class Field:
     galois: tuple[tuple[int, ...], ...] | None
     degree: int
     _root_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _unit_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def element(self, coeffs) -> "FieldElem":
         coeffs = [Fraction(c) for c in coeffs]
@@ -614,6 +631,15 @@ class FieldElem:
 
     def __hash__(self):
         return hash((self.field.min_poly, self.coeffs))
+
+    @cached_property
+    def _unit_memo(self) -> "_UnitMemo":
+        """The field's _UnitMemo for this value, looked up once per element."""
+        cache = self.field._unit_cache
+        unit = cache.get(self.coeffs)
+        if unit is None:
+            unit = cache[self.coeffs] = _UnitMemo(self)
+        return unit
 
     def __repr__(self):
         return f"FieldElem{self.coeffs}"
@@ -917,7 +943,8 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     d = fld.degree
     if len(e) != d:
         raise ValueError("exponent vector length must equal the degree")
-    n_eps = norm(eps)
+    unit = eps._unit_memo
+    n_eps = unit.norm
     if abs(n_eps) != 1:
         raise ValueError("symmetrized_norm requires a unit (norm +-1)")
     group = _symmetrization_group(fld)
@@ -935,7 +962,7 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
         assert prod.denominator == 1
         return CertifiedInteger(int(prod), Fraction(0))
 
-    return _symmetrized(eps, e, range(d), fld, group, precision_cap)
+    return _symmetrized(unit, e, range(d), fld, group, precision_cap)
 
 
 def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
@@ -953,20 +980,22 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
     fld = fld or eps.field
     subset = frozenset(subset)
     group = _symmetrization_group(fld)
-    if abs(norm(eps)) != 1:
+    unit = eps._unit_memo
+    if abs(unit.norm) != 1:
         raise ValueError("requires a unit")
     exps = [e_on[t] if t in subset else e_off[t] for t in range(fld.degree)]
-    return _symmetrized(eps, exps, subset, fld, group, precision_cap)
+    return _symmetrized(unit, exps, subset, fld, group, precision_cap)
 
 
-def _symmetrized(eps, e, subset, fld, group, cap):
+def _symmetrized(unit, e, subset, fld, group, cap):
     """prod_{g in group}(prod_{t in J} emb_{g(t)}(eps)^e_t
                           - prod_{t not in J} emb_{g(t)}(eps)^e_t), J = subset.
 
-    Exact when eps is rational (+-1) or the field is quadratic, where the
-    product is the norm of a - b; otherwise _certified_product on the d
-    embeddings of eps.
+    unit is the _UnitMemo of eps.  Exact when eps is rational (+-1) or the
+    field is quadratic, where the product is the norm of a - b; otherwise
+    _certified_product on the tables of eps's d embeddings.
     """
+    eps = unit.eps
     d = fld.degree
     if eps.is_rational():
         r = eps.as_rational()
@@ -990,19 +1019,68 @@ def _symmetrized(eps, e, subset, fld, group, cap):
         assert val.denominator == 1
         return CertifiedInteger(int(val), Fraction(0))
 
-    return _certified_product(lambda bits: [embed(eps, i, bits) for i in range(d)],
-                              e, subset, group, cap)
+    return _certified_product(unit.table, e, subset, group, cap)
 
 
-def _certified_product(embeddings, e, subset, group, cap):
+class _PowerTable:
+    """Intervals x_0, x_1, ... at one precision level and their powers.
+
+    row(e) lists x_i.power(e, bits) for every i as mantissa triples
+    (lo_m, hi_m, exp), computed on the first request for e and kept.
+    """
+
+    __slots__ = ("xs", "bits", "_rows")
+
+    def __init__(self, xs, bits: int):
+        self.xs = tuple(xs)
+        self.bits = bits
+        self._rows = {}
+
+    def row(self, e: int) -> tuple[tuple[int, int, int], ...]:
+        row = self._rows.get(e)
+        if row is None:
+            powers = [x.power(e, self.bits) for x in self.xs]
+            row = self._rows[e] = tuple((p.lo_m, p.hi_m, p.exp) for p in powers)
+        return row
+
+
+class _UnitMemo:
+    """norm(eps) and, per precision level, the _PowerTable of eps's embeddings.
+
+    A level's table is kept with the root cells embed would start from,
+    fld._refined_root(i, bits + 4), and is used only while those cells are
+    unchanged: embed's output is a function of them, so a kept table holds
+    exactly the intervals embed would compute now.  Otherwise the level's
+    table is rebuilt in place.
+    """
+
+    __slots__ = ("eps", "norm", "_levels")
+
+    def __init__(self, eps: FieldElem):
+        self.eps = eps
+        self.norm = norm(eps)
+        self._levels = {}
+
+    def table(self, bits: int) -> _PowerTable:
+        eps = self.eps
+        fld = eps.field
+        cells = [fld._refined_root(i, bits + 4) for i in range(fld.degree)]
+        level = self._levels.get(bits)
+        if level is None or level[0] != cells:
+            xs = [embed(eps, i, bits) for i in range(fld.degree)]
+            level = self._levels[bits] = (cells, _PowerTable(xs, bits))
+        return level[1]
+
+
+def _certified_product(tables, e, subset, group, cap):
     """_certify of prod_{g in group}(prod_{t in J} x_{g(t)}^e_t - prod_{t not in J} x_{g(t)}^e_t).
 
-    embeddings(bits) lists intervals around the reals x_0, x_1, ...; group
-    permutes their indices.
+    tables(bits) is a _PowerTable of intervals around the reals x_0, x_1,
+    ...; group permutes their indices.
     """
     reps, stabilizer_order = _label_cosets(e, subset, group)
-    return _certify(lambda bits: _interval_product(embeddings(bits), e, subset, reps,
-                                                   stabilizer_order, bits), cap)
+    return _certify(lambda bits: _interval_product(tables(bits), e, subset, reps,
+                                                   stabilizer_order), cap)
 
 
 def _label_cosets(e, subset, group):
@@ -1021,21 +1099,50 @@ def _label_cosets(e, subset, group):
     return tuple(firsts.values()), len(group) // len(firsts)
 
 
-def _interval_product(embs, e, subset, reps, stabilizer_order, bits):
-    powers = {(i, exp): x.power(exp, bits) for i, x in enumerate(embs) for exp in set(e)}
-    one = _interval(1, 1, 0)
-    total = one
+def _interval_product(table, e, subset, reps, stabilizer_order):
+    """The kernel's interval at table.bits, on integer mantissas (lo_m, hi_m, exp).
+
+    For each g in reps, the products over t in J and over t not in J of
+    x_{g(t)}^e_t, each rounded outward after every factor; their difference
+    multiplies the running total, which is rounded; the total is raised to
+    stabilizer_order.  These are the DyadicInterval operations, in order.
+    """
+    bits = table.bits
+    on = [(t, table.row(x)) for t, x in enumerate(e) if t in subset]
+    off = [(t, table.row(x)) for t, x in enumerate(e) if t not in subset]
+    lo = hi = 1
+    exp = 0
     for g in reps:
-        a = b = one
-        for t, exp in enumerate(e):
-            if t in subset:
-                a = (a * powers[(g[t], exp)]).round(bits)
-            else:
-                b = (b * powers[(g[t], exp)]).round(bits)
-        total = (total * (a - b)).round(bits)
+        a_lo, a_hi, a_exp = _rounded_product(on, g, bits)
+        b_lo, b_hi, b_exp = _rounded_product(off, g, bits)
+        k = a_exp - b_exp
+        if k >= 0:
+            d_lo, d_hi, d_exp = a_lo - (b_hi << k), a_hi - (b_lo << k), a_exp
+        else:
+            d_lo, d_hi, d_exp = (a_lo << -k) - b_hi, (a_hi << -k) - b_lo, b_exp
+        lo, hi = _mantissa_product(lo, hi, d_lo, d_hi)
+        exp += d_exp
+        k = exp - bits
+        if k > 0:
+            lo, hi, exp = lo >> k, _ceil_shift(hi, k), bits
+    total = _interval(lo, hi, exp)
     if stabilizer_order > 1:
         total = total.power(stabilizer_order, bits)
     return total
+
+
+def _rounded_product(terms, g, bits):
+    """prod over (t, row) in terms of row[g[t]], rounded to bits after each factor."""
+    lo = hi = 1
+    exp = 0
+    for t, row in terms:
+        p_lo, p_hi, p_exp = row[g[t]]
+        lo, hi = _mantissa_product(lo, hi, p_lo, p_hi)
+        exp += p_exp
+        k = exp - bits
+        if k > 0:
+            lo, hi, exp = lo >> k, _ceil_shift(hi, k), bits
+    return lo, hi, exp
 
 
 def _certify(evaluate, cap: int) -> CertifiedInteger:
@@ -1046,7 +1153,7 @@ def _certify(evaluate, cap: int) -> CertifiedInteger:
     that pins no integer asks for twice the bits; past cap this raises
     Indeterminate(cap).
     """
-    bits = 64
+    bits = _START_BITS
     while bits <= cap:
         try:
             iv = evaluate(bits)

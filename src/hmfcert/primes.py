@@ -99,22 +99,23 @@ def factor(n: int) -> dict[int, int]:
     if n in (0, 1):
         return {}
     out: dict[int, int] = {}
+    rest = n
     for p in (2, 3, 5):
-        while n % p == 0:
+        while rest % p == 0:
             out[p] = out.get(p, 0) + 1
-            n //= p
+            rest //= p
     f = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n and f <= _TRIAL_BOUND:
-        while n % f == 0:
+    while f * f <= rest and f <= _TRIAL_BOUND:
+        while rest % f == 0:
             out[f] = out.get(f, 0) + 1
-            n //= f
+            rest //= f
         f += wheel[i]
         i = (i + 1) % 8
-    if n == 1:
+    if rest == 1:
         return out
-    stack = [n]
+    stack = [rest]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -124,7 +125,10 @@ def factor(n: int) -> dict[int, int]:
             continue
         if m > _RHO_CAP:
             raise FactorizationIncomplete(n, m, out)
-        d = _pollard_rho(m)
+        try:
+            d = _pollard_rho(m)
+        except FactorizationIncomplete:
+            raise FactorizationIncomplete(n, m, out) from None
         stack.append(d)
         stack.append(m // d)
     return out

@@ -100,6 +100,41 @@ class TestExcludePrimesCommand:
         assert run(["exclude-primes", "--config", str(path)]) == 1
 
 
+class TestPrecisionCap:
+    """A cap below 64 bits, where certification starts, is rejected up front."""
+
+    @pytest.fixture
+    def cubic_config(self, tmp_path):
+        def write(output=None):
+            cfg = {
+                "field": {"min_poly": [-1, -3, 0, 1], "units": [["0", "0", "1"]]},
+                "weight": {"k": [6, 4, 2]},
+            }
+            if output is not None:
+                cfg["output"] = output
+            path = tmp_path / "cubic.json"
+            path.write_text(json.dumps(cfg))
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("cap", ["32", "-5", "0", "63"])
+    def test_flag_below_64_is_a_validation_error(self, cubic_config, capsys, cap):
+        path = cubic_config({"precision_cap": 4096})
+        assert run(["--precision-cap", cap, "exclude-primes", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"precision cap {cap} is below 64" in captured.err
+
+    def test_config_cap_below_64_is_a_validation_error(self, cubic_config, capsys):
+        assert run(["exclude-primes", "--config", cubic_config({"precision_cap": 32})]) == 1
+        assert "precision cap 32 is below 64" in capsys.readouterr().err
+
+    def test_cap_64_runs(self, cubic_config, capsys):
+        path = cubic_config({"precision_cap": 32})
+        assert run(["--precision-cap", "64", "exclude-primes", "--config", path]) == 0
+        assert "excluded set:" in capsys.readouterr().out
+
+
 class TestCongruenceModuleCommand:
     def test_basic(self, tmp_path, capsys):
         cfg = {"lattice": [[1, 1], [0, 5]], "split": 1, "p": 5,

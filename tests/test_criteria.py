@@ -533,6 +533,43 @@ class TestCertify:
         assert json.dumps(payload, sort_keys=True, indent=2) == rep.to_json()
 
 
+class TestSharedUnitWork:
+    """Every subset product of a certificate shares its unit's norm and embeddings."""
+
+    QUINTIC = [1, 3, -3, -4, 1, 1]
+    QUINTIC_GALOIS = [[0, 1, 2, 3, 4], [4, 2, 0, 1, 3], [3, 0, 4, 2, 1],
+                      [1, 4, 3, 0, 2], [2, 3, 1, 4, 0]]
+
+    def test_cyclic_quintic_certificate(self, monkeypatch):
+        # 32 subsets and two forms make 64 kernel products on one unit; each
+        # once called norm, and embed for all five embeddings
+        fld = make_field(self.QUINTIC, self.QUINTIC_GALOIS)
+        unit = fld.gen * fld.gen
+        inputs = CertificationInputs(field=fld, weight=make_weight([4, 2, 2, 2, 2]),
+                                     delta=11, units=(unit,))
+        embeds, norms = [], []
+        embed_, norm_ = nfield.embed, nfield.norm
+
+        def counted_embed(a, idx, bits):
+            embeds.append((a.coeffs, idx, bits))
+            return embed_(a, idx, bits)
+
+        def counted_norm(a):
+            norms.append(a.coeffs)
+            return norm_(a)
+
+        monkeypatch.setattr(nfield, "embed", counted_embed)
+        monkeypatch.setattr(nfield, "norm", counted_norm)
+        rep = certify(inputs)
+        assert all(st.kind == "excludes" for _, st in rep.irr.per_subset)
+        assert len(rep.irr.per_subset) == 32
+        assert norms == [unit.coeffs]
+        levels = {bits for _, _, bits in embeds}
+        assert len(embeds) == len(set(embeds)) <= 5 * len(levels)
+        assert sorted(embeds) == sorted((unit.coeffs, i, bits)
+                                        for i in range(5) for bits in levels)
+
+
 class TestFactorizationFallback:
     def test_unfactored_cofactor_flagged(self):
         from hmfcert.criteria import _factor_primes

@@ -924,6 +924,182 @@ class TestDistinctFactors:
         assert calls["mul"] <= 200 * rounds
 
 
+def object_loop_product(embs, e, subset, reps, stabilizer_order, bits):
+    """The kernel's interval on DyadicInterval objects.
+
+    The evaluation before _interval_product became one loop over integer
+    mantissas: every power of every interval first, then each partial
+    product, difference and running total as an object, rounded to bits.
+    """
+    powers = {(i, exp): x.power(exp, bits) for i, x in enumerate(embs) for exp in set(e)}
+    one = DyadicInterval(1, 1)
+    total = one
+    for g in reps:
+        a = b = one
+        for t, exp in enumerate(e):
+            if t in subset:
+                a = (a * powers[(g[t], exp)]).round(bits)
+            else:
+                b = (b * powers[(g[t], exp)]).round(bits)
+        total = (total * (a - b)).round(bits)
+    if stabilizer_order > 1:
+        total = total.power(stabilizer_order, bits)
+    return total
+
+
+def _wreath(group):
+    """C_2 wr G on positions 2t + u, as criteria._wreath_product_value builds it."""
+    d = len(group[0])
+    return tuple(tuple(2 * g[t] + (u ^ signs[t]) for t in range(d) for u in (0, 1))
+                 for signs in itertools.product((0, 1), repeat=d) for g in group)
+
+
+ORACLE_GROUPS = {
+    "S2": ((0, 1), (1, 0)),
+    "S3": tuple(itertools.permutations(range(3))),
+    "C3": ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+    "S4": tuple(itertools.permutations(range(4))),
+    "V4": tuple(map(tuple, KLEIN_GALOIS)),
+    "C5": tuple(map(tuple, CYCLIC_QUINTIC_GALOIS)),
+    "C2wrS2": _wreath(tuple(itertools.permutations(range(2)))),
+    "C2wrC3": _wreath(((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+}
+
+
+def _mantissas_or_error(run):
+    try:
+        iv = run()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return iv.lo_m, iv.hi_m, iv.exp
+
+
+def _random_interval(rng, bits):
+    """Mantissas over 2^exp, exp up to a few bits past the level, of any sign."""
+    exp = rng.randint(0, bits + 6)
+    kind = rng.choice(("positive", "negative", "straddle", "any"))
+    width = rng.randint(0, max(1, 1 << max(exp - 3, 0)))
+    scale = 1 << (exp + 2)
+    if kind == "positive":
+        lo = rng.randint(1, scale)
+    elif kind == "negative":
+        lo = -rng.randint(1, scale) - width
+    elif kind == "straddle":
+        lo = -rng.randint(0, width)
+    else:
+        lo = rng.randint(-scale, scale)
+    return nfield._interval(lo, lo + width, exp)
+
+
+def _oracle_case(rng, name):
+    group = ORACLE_GROUPS[name]
+    n = len(group[0])
+    bits = rng.choice((4, 8, 13, 32, 64, 90))
+    embs = [_random_interval(rng, bits) for _ in range(n)]
+    e = [rng.randint(-2, 3) for _ in range(n)]
+    subset = frozenset(t for t in range(n) if rng.random() < 0.5)
+    if rng.random() < 0.75:
+        reps, h = nfield._label_cosets(e, subset, group)
+    else:
+        reps, h = tuple(rng.choices(group, k=rng.randint(0, 5))), rng.randint(1, 3)
+    return embs, e, subset, reps, h, bits
+
+
+class TestFlatIntervalLoop:
+    """_interval_product gives the object loop's interval, mantissa for mantissa."""
+
+    @staticmethod
+    def _compare(embs, e, subset, reps, h, bits):
+        want = _mantissas_or_error(
+            lambda: object_loop_product(embs, e, subset, reps, h, bits))
+        got = _mantissas_or_error(lambda: nfield._interval_product(
+            nfield._PowerTable(embs, bits), e, subset, reps, h))
+        assert got == want
+        return want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(ORACLE_GROUPS)), st.integers(0, 2**32))
+    def test_random_inputs(self, name, seed):
+        self._compare(*_oracle_case(random.Random(seed), name))
+
+    def test_seeded_inputs_cover_every_shape(self):
+        rng = random.Random(11)
+        seen = dict.fromkeys(("straddle", "negative_exponent", "zero_exponent",
+                              "stabilizer", "wreath", "zero_division", "coarse_input"), 0)
+        for i in range(600):
+            name = sorted(ORACLE_GROUPS)[i % len(ORACLE_GROUPS)]
+            embs, e, subset, reps, h, bits = _oracle_case(rng, name)
+            want = self._compare(embs, e, subset, reps, h, bits)
+            seen["straddle"] += any(x.straddles_zero() for x in embs)
+            seen["negative_exponent"] += min(e) < 0
+            seen["zero_exponent"] += 0 in e
+            seen["stabilizer"] += h > 1
+            seen["wreath"] += name.startswith("C2wr")
+            seen["zero_division"] += want is ZeroDivisionError
+            seen["coarse_input"] += any(x.exp > bits for x in embs)
+        assert min(seen.values()) >= 20, seen
+
+    def test_field_embeddings(self):
+        fld = make_field(CYCLIC_QUINTIC)
+        group = nfield._symmetrization_group(fld)
+        eps = fld.gen * fld.gen
+        for bits in (64, 128, 300):
+            embs = [embed(eps, i, bits) for i in range(5)]
+            for e, subset in [((3, 2, 2, 2, 2), range(5)), ((0, -1, 2, 2, -1), {2, 3})]:
+                reps, h = nfield._label_cosets(e, subset, group)
+                assert h > 1
+                self._compare(embs, e, subset, reps, h, bits)
+
+
+class TestUnitTables:
+    """One norm and one table of embeddings and powers per unit and level."""
+
+    @staticmethod
+    def _triple(iv):
+        return iv.lo_m, iv.hi_m, iv.exp
+
+    def test_table_after_deeper_refinement_is_a_fresh_embed(self):
+        fld = make_field(CYCLIC_QUINTIC, CYCLIC_QUINTIC_GALOIS)
+        eps = fld.gen * fld.gen
+        unit = eps._unit_memo
+        before = unit.table(64)
+        assert unit.table(64) is before
+        for i in range(5):
+            fld._refined_root(i, 512)
+        after = unit.table(64)
+        fresh = [embed(eps, i, 64) for i in range(5)]
+        assert [self._triple(x) for x in after.xs] == [self._triple(x) for x in fresh]
+        assert [self._triple(x) for x in before.xs] != [self._triple(x) for x in fresh]
+        for e in (-2, -1, 0, 1, 2, 5):
+            assert after.row(e) == tuple(self._triple(x.power(e, 64)) for x in fresh)
+
+    def test_stale_level_is_replaced(self):
+        fld = make_field(KLEIN_QUARTIC, KLEIN_GALOIS)
+        eps = fld.gen * fld.gen
+        assert symmetrized_norm(eps, (2, 1, 1, 2)).value == 144
+        unit = eps._unit_memo
+        first = unit._levels[64][1]
+        # an exact zero escalates to the cap and refines the roots past 64 bits
+        with pytest.raises(Indeterminate):
+            symmetrized_difference_norm(eps, (0,) * 4, (0,) * 4, {0}, precision_cap=512)
+        assert sorted(unit._levels) == [64, 128, 256, 512]
+        assert symmetrized_norm(eps, (2, 1, 1, 2)).value == 144
+        assert sorted(unit._levels) == [64, 128, 256, 512]
+        assert unit._levels[64][1] is not first
+        assert unit._levels[64][0] == [fld._refined_root(i, 68) for i in range(4)]
+
+    def test_one_memo_per_value(self):
+        fld = make_field(CYCLIC_QUINTIC, CYCLIC_QUINTIC_GALOIS)
+        a, b = fld.gen * fld.gen, fld.gen * fld.gen
+        assert a is not b and a._unit_memo is b._unit_memo
+        assert list(fld._unit_cache) == [a.coeffs]
+        half = fld.element([Fraction(1, 2), 1])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="requires a unit"):
+                symmetrized_norm(half, (1, 0, 0, 0, 0))
+        assert half._unit_memo.norm == norm(half)
+
+
 def _sympy_verdict(coeffs):
     x = sympy.symbols("x")
     poly = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)

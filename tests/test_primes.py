@@ -1,6 +1,7 @@
 import pytest
 
-from hmfcert.primes import factor, is_prime
+from hmfcert import primes
+from hmfcert.primes import FactorizationIncomplete, factor, is_prime
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first twelve and the
 # first thirteen prime bases (Sorenson & Webster, Math. Comp. 2017)
@@ -20,3 +21,25 @@ def test_small_and_large_primes():
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
     assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_incomplete_factorization_keeps_the_primes_found(monkeypatch):
+    # when Pollard rho gives up, the trial-division primes and the input survive
+    def give_up(m):
+        raise FactorizationIncomplete(m, m, {})
+
+    monkeypatch.setattr(primes, "_pollard_rho", give_up)
+    n = 56 * 1000003 * 1000033
+    with pytest.raises(FactorizationIncomplete) as exc:
+        factor(-n)
+    assert exc.value.partial == {2: 3, 7: 1}
+    assert exc.value.n == n
+    assert exc.value.cofactor == 1000003 * 1000033
+
+
+def test_cofactor_above_rho_cap_reports_the_input():
+    p1, p2 = 2**89 - 1, 2**107 - 1
+    with pytest.raises(FactorizationIncomplete) as exc:
+        factor(12 * p1 * p2)
+    assert (exc.value.n, exc.value.cofactor, exc.value.partial) == (
+        12 * p1 * p2, p1 * p2, {2: 2, 3: 1})
