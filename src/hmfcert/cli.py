@@ -9,12 +9,33 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction
 
-from . import bgg, criteria, gl2img, lattice, modform, nfield, primes, weights
+
+def _lazy(name: str):
+    """hmfcert.<name>, registered in sys.modules now and executed on first use."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A command runs only the module bodies it uses.  Every module is registered
+# here, exact included, so code that walks sys.modules after importing the
+# CLI (the benchmark tracer) sees each one before any of them runs.
+bgg, criteria, gl2img, lattice, modform, nfield, primes, weights = map(
+    _lazy, ("bgg", "criteria", "gl2img", "lattice", "modform", "nfield", "primes", "weights"))
+_lazy("exact")
 
 
 class UsageError(Exception):
@@ -30,19 +51,22 @@ _TOP_KEYS = {"field", "weight", "level", "criteria", "output"}
 _QEXT_KEYS = {"delta", "units", "label"}
 
 
-def _check_keys(block: dict, allowed: set, where: str):
+def _check_keys(block, allowed: set, where: str):
+    if not isinstance(block, dict):
+        raise UsageError(f"{where} is not a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int,)):
-        return Fraction(x)
-    if isinstance(x, list) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, (str, int)):
+            return Fraction(x)
+        if isinstance(x, list) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in rational {x!r}") from None
     raise UsageError(f"cannot parse rational from {x!r}")
 
 
@@ -177,6 +201,13 @@ def _cmd_exclude_primes(args) -> int:
     return 0 if report.worst_status == "certified" else 2
 
 
+def _split_entry(x, key: str) -> Fraction:
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in split {key} entry {x!r}") from None
+
+
 def _cmd_congruence_module(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -186,11 +217,13 @@ def _cmd_congruence_module(args) -> int:
     sp = cfg["split"]
     if isinstance(sp, int):
         split = lattice.coordinate_split(lat.ambient_dim, sp)
-    else:
+    elif isinstance(sp, dict):
         split = lattice.Split(
-            tuple(tuple(Fraction(str(x)) for x in row) for row in sp["v1"]),
-            tuple(tuple(Fraction(str(x)) for x in row) for row in sp["v2"]),
+            tuple(tuple(_split_entry(x, "v1") for x in row) for row in sp["v1"]),
+            tuple(tuple(_split_entry(x, "v2") for x in row) for row in sp["v2"]),
         )
+    else:
+        raise UsageError("congruence-module split is neither an integer nor a JSON object")
     several = isinstance(cfg["p"], list)
     ps = [int(p) for p in cfg["p"]] if several else [int(cfg["p"])]
     if not ps:
@@ -249,8 +282,9 @@ def _cmd_classify_image(args) -> int:
             raise ValueError(f"entries over F_{F.q} are encoded elements 0..{F.q - 1}")
         gens.append(tuple(vals))
     group = gl2img.FqMatrixGroup(F, tuple(gens))
-    c = gl2img.classify_projective_image(group, cap=args.cap)
-    q_li = gl2img.li_check(group, cap=args.cap) if args.li else None
+    cap = gl2img.CLOSURE_CAP if args.cap is None else args.cap
+    c = gl2img.classify_projective_image(group, cap=cap)
+    q_li = gl2img.li_check(group, cap=cap) if args.li else None
     payload = {
         "q": F.q,
         "classification": str(c),
@@ -346,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated modulus coefficients, low degree first")
     p.add_argument("--gens", required=True,
                    help="generators 'a,b,c,d;e,f,g,h;...'")
-    p.add_argument("--cap", type=int, default=gl2img.CLOSURE_CAP)
+    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--li", action="store_true", help="also run the large-image check")
     p.set_defaults(func=_cmd_classify_image)
 

@@ -1,0 +1,94 @@
+"""Exact kernels shared across hmfcert: fraction-free integer elimination
+and dense polynomial arithmetic.
+
+bareiss_det and _solve are the integer elimination core of lattice, and
+nfield clears denominators and calls them for norms and inverses.  The
+polynomial helpers work on dense lists, low degree first, over any
+coefficient ring: nfield multiplies and reduces field elements with them,
+gl2img builds its F_q tables, modform its complex local factors, and
+lattice tests its integer root candidates.  The module imports nothing
+from hmfcert, so each of those modules can use it without loading another.
+"""
+
+from __future__ import annotations
+
+
+def bareiss_det(m) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _solve(a, b) -> tuple[int, list[list[int]]]:
+    """(d, Y) with A*Y = d*B and d != 0, for square integer A and integer B.
+
+    Fraction-free Gauss-Jordan (Bareiss): every entry of [A | B] after step
+    k is a minor of the input, so the division by the previous pivot is
+    exact, and the final [d*I | Y] has d = +-det(A) and Y = d * A^-1 * B.
+    """
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rk)]
+        prev = pk
+    return prev, [row[n:] for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials (lists, low degree first)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_rem(a, m):
+    """Remainder of a by the monic m, in a's coefficient ring."""
+    r = list(a)
+    k = len(m) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(k):
+                r[i - k + j] -= c * m[j]
+    return r[:k]
+
+
+def _poly_eval(p, x):
+    out = 0
+    for c in reversed(p):
+        out = out * x + c
+    return out

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .nfield import _poly_mul, _poly_rem
+from .exact import _poly_mul, _poly_rem
 from .primes import factor, is_prime
 
 Q_CAP = 121

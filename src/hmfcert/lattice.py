@@ -8,8 +8,8 @@ is square and nonsingular, and a rational lattice is an integer matrix
 with one common denominator.  fractions.Fraction appears only at the Split input, whose
 bases are cleared to integers once, and in the eigenvalue search of
 find_congruences, which works with operators restricted to those bases.
-The Bareiss determinant and _solve are shared with the number-field
-module, which clears denominators and calls them for norms and inverses.
+The Bareiss determinant and _solve live in exact, which the number-field
+module shares for norms and inverses.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exact import _poly_eval, _solve, bareiss_det
 
 
 class DegenerateSplit(Exception):
@@ -57,31 +59,6 @@ def mat_mul(a, b):
     )
 
 
-def bareiss_det(m) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def det_rational(m) -> Fraction:
     """Determinant of a rational matrix via row scaling + Bareiss."""
     scale = Fraction(1)
@@ -99,31 +76,6 @@ def det_rational(m) -> Fraction:
 def _transpose(m, ncols: int) -> list[list]:
     """Transpose of m, which has ncols columns (an empty m gives ncols [])."""
     return [[row[j] for row in m] for j in range(ncols)]
-
-
-def _solve(a, b) -> tuple[int, list[list[int]]]:
-    """(d, Y) with A*Y = d*B and d != 0, for square integer A and integer B.
-
-    Fraction-free Gauss-Jordan (Bareiss): every entry of [A | B] after step
-    k is a minor of the input, so the division by the previous pivot is
-    exact, and the final [d*I | Y] has d = +-det(A) and Y = d * A^-1 * B.
-    """
-    n = len(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        rk = rows[k]
-        pk = rk[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rk)]
-        prev = pk
-    return prev, [row[n:] for row in rows]
 
 
 def _lowest_terms(m, den: int) -> tuple[IntMatrix, int]:
@@ -662,7 +614,7 @@ def _integer_roots(coeffs: list[Fraction]) -> list[int]:
         if c0 % f == 0:
             cands.update((f, -f, c0 // f, -(c0 // f)))
     for r in sorted(cands):
-        if sum(c * r**k for k, c in enumerate(ic)) == 0:
+        if _poly_eval(ic, r) == 0:
             roots.append(r)
     return sorted(roots)
 

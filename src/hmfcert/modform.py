@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .nfield import (Field, FieldElem, _poly_eval, _poly_mul, embed, is_totally_positive,
-                     orbit_reduce, trace)
+from .exact import _poly_eval, _poly_mul
+from .nfield import Field, FieldElem, embed, is_totally_positive, orbit_reduce, trace
 from .weights import Weight
 
 

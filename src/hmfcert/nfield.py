@@ -5,11 +5,10 @@ intervals for its real roots (ascending) and optional Galois permutation
 data on the embedding indices.  Elements are rational coordinate vectors
 in the power basis; all arithmetic is exact.  A product is a remainder by
 the monic min_poly, and an inverse is one fraction-free solve
-(lattice._solve) against the integer matrix of multiplication.  The dense
-polynomial helpers work over any coefficient ring; gl2img builds its F_q
-tables and modform its complex local factors with them.  Real embeddings
-are produced as dyadic intervals that provably contain the exact value,
-refined by bisection on the isolating interval of the corresponding root.
+(exact._solve) against the integer matrix of multiplication.  Real
+embeddings are produced as dyadic intervals that provably contain the
+exact value, refined by bisection on the isolating interval of the
+corresponding root.
 
 A DyadicInterval is two integer mantissas over one power of two,
 [lo_m / 2^exp, hi_m / 2^exp], so interval arithmetic is integer
@@ -71,7 +70,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import _solve, bareiss_det
+from .exact import _poly_eval, _poly_mul, _poly_rem, _solve, bareiss_det
 
 
 class NotIrreducible(Exception):
@@ -325,33 +324,13 @@ ZERO = Zero()
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over any coefficient ring (dense lists, low degree first)
+# rational polynomial helpers (dense lists, low degree first)
 
 
 def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_rem(a, m):
-    """Remainder of a by the monic m, in a's coefficient ring."""
-    r = list(a)
-    k = len(m) - 1
-    for i in range(len(r) - 1, k - 1, -1):
-        c = r[i]
-        if c:
-            for j in range(k):
-                r[i - k + j] -= c * m[j]
-    return r[:k]
 
 
 def _poly_divmod(a, b):
@@ -365,13 +344,6 @@ def _poly_divmod(a, b):
             a[k + i] -= c * b[i]
         _poly_trim(a)
     return _poly_trim(q), a
-
-
-def _poly_eval(p, x):
-    out = 0
-    for c in reversed(p):
-        out = out * x + c
-    return out
 
 
 def _poly_deriv(p):

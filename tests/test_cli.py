@@ -100,6 +100,66 @@ class TestExcludePrimesCommand:
         assert run(["exclude-primes", "--config", str(path)]) == 1
 
 
+class TestMalformedConfig:
+    """A malformed config ends in one error line and exit 1, not a traceback."""
+
+    Q5 = {"field": {"min_poly": [-5, 0, 1], "units": [["3/2", "1/2"]]},
+          "weight": {"k": [4, 2]}}
+
+    def _run(self, tmp_path, capsys, cfg, command="exclude-primes"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run([command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return code, captured.err
+
+    @pytest.mark.parametrize("entry", ["1/0", [1, 0]])
+    @pytest.mark.parametrize("where", ["unit", "delta"])
+    def test_zero_denominator(self, tmp_path, capsys, entry, where):
+        cfg = json.loads(json.dumps(self.Q5))
+        if where == "unit":
+            cfg["field"]["units"] = [[entry, "1/2"]]
+        else:
+            cfg["criteria"] = {"quadratic_extensions": [{"delta": [entry, 1], "units": []}]}
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err == f"error: zero denominator in rational {entry!r}\n"
+
+    def test_zero_denominator_in_split(self, tmp_path, capsys):
+        cfg = {"lattice": [[1, 0], [0, 5]], "p": 5,
+               "split": {"v1": [["1/0", 0]], "v2": [[0, 1]]}}
+        code, err = self._run(tmp_path, capsys, cfg, "congruence-module")
+        assert code == 1
+        assert err == "error: zero denominator in split v1 entry '1/0'\n"
+
+    @pytest.mark.parametrize("cfg", [[{"a": 1}], [1, 2], "field", 3, None])
+    def test_top_level_not_an_object(self, tmp_path, capsys, cfg):
+        assert self._run(tmp_path, capsys, cfg) == (1, "error: config is not a JSON object\n")
+
+    @pytest.mark.parametrize("block,value", [
+        ("field", [1]), ("weight", [[4, 2]]), ("level", 20), ("criteria", []),
+        ("output", "json"),
+    ])
+    def test_block_not_an_object(self, tmp_path, capsys, block, value):
+        cfg = dict(self.Q5, **{block: value})
+        assert self._run(tmp_path, capsys, cfg) == (1, f"error: {block} is not a JSON object\n")
+
+    def test_quadratic_extension_entry_not_an_object(self, tmp_path, capsys):
+        cfg = dict(self.Q5, criteria={"quadratic_extensions": [[[2], []]]})
+        assert self._run(tmp_path, capsys, cfg) == (
+            1, "error: quadratic_extensions entry is not a JSON object\n")
+
+    @pytest.mark.parametrize("cfg,message", [
+        ([{"lattice": [[1]]}], "congruence-module config is not a JSON object"),
+        ({"lattice": [[1, 0], [0, 5]], "p": 5, "split": [[1, 0]]},
+         "congruence-module split is neither an integer nor a JSON object"),
+    ])
+    def test_congruence_module_not_an_object(self, tmp_path, capsys, cfg, message):
+        assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, f"error: {message}\n")
+
+
 class TestPrecisionCap:
     """A cap below 64 bits, where certification starts, is rejected up front."""
 
