@@ -51,12 +51,15 @@ _TOP_KEYS = {"field", "weight", "level", "criteria", "output"}
 _QEXT_KEYS = {"delta", "units", "label"}
 
 
-def _check_keys(block, allowed: set, where: str):
+def _check_keys(block, allowed: set, where: str, required: set = frozenset()):
     if not isinstance(block, dict):
         raise UsageError(f"{where} is not a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = required - set(block)
+    if missing:
+        raise UsageError(f"{where} lacks keys {sorted(missing)}")
 
 
 def _fraction(x) -> Fraction:
@@ -211,13 +214,17 @@ def _split_entry(x, key: str) -> Fraction:
 def _cmd_congruence_module(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    _check_keys(cfg, {"lattice", "split", "p", "ops"}, "congruence-module config")
+    _check_keys(cfg, {"lattice", "split", "p", "ops"}, "congruence-module config",
+                required={"lattice", "split", "p"})
+    if not cfg["lattice"]:
+        raise UsageError("congruence-module 'lattice' has no rows")
     lat = lattice.Lattice(tuple(tuple(int(x) for x in row) for row in cfg["lattice"]),
                           len(cfg["lattice"][0]))
     sp = cfg["split"]
     if isinstance(sp, int):
         split = lattice.coordinate_split(lat.ambient_dim, sp)
     elif isinstance(sp, dict):
+        _check_keys(sp, {"v1", "v2"}, "congruence-module split", required={"v1", "v2"})
         split = lattice.Split(
             tuple(tuple(_split_entry(x, "v1") for x in row) for row in sp["v1"]),
             tuple(tuple(_split_entry(x, "v2") for x in row) for row in sp["v2"]),
@@ -406,10 +413,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (nfield.NotIrreducible, nfield.NotTotallyReal, nfield.NotSquarefree,
-            weights.ParityMismatch, weights.WeightTooSmall,
-            weights.InvalidPartition, gl2img.Inconsistent,
-            criteria.MixedSignature, ValueError) as exc:
+    except ValueError as exc:  # every bad-input exception of hmfcert is one
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

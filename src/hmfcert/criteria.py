@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .nfield import (
     DEFAULT_PRECISION_CAP,
-    ZERO,
     Field,
     FieldElem,
     Indeterminate,
@@ -25,6 +24,7 @@ from .nfield import (
     _START_BITS,
     _PowerTable,
     _certified_product,
+    _is_integral,
     _symmetrization_group,
     embed,
     embed_sign,
@@ -50,7 +50,7 @@ class FormDisagreement(Exception):
     """The two printed expression forms differ by more than a sign: a bug."""
 
 
-class MixedSignature(Exception):
+class MixedSignature(ValueError):
     pass
 
 
@@ -128,12 +128,20 @@ class QuadExtDescription:
         return self.signature() == "totally_negative"
 
     def validate_units(self):
-        fld = self.delta.field
+        """Each a + b sqrt(delta) must be an algebraic integer of norm +-1.
+
+        Its characteristic polynomial over F is x^2 - 2a x + (a^2 - delta b^2),
+        so it is integral exactly when 2a and a^2 - delta b^2 are.
+        """
         for a, b in self.units:
             rel_norm = a * a - self.delta * b * b
             if abs(norm(rel_norm)) != 1:
                 raise ValueError(
                     f"{self.label}: {a} + {b} sqrt(delta) is not a unit"
+                )
+            if not (_is_integral(a + a) and _is_integral(rel_norm)):
+                raise ValueError(
+                    f"{self.label}: {a} + {b} sqrt(delta) is not an algebraic integer"
                 )
 
 
@@ -159,6 +167,8 @@ class CertificationInputs:
         for u in self.units:
             if abs(norm(u)) != 1:
                 raise ValueError(f"unit {u} does not have norm +-1")
+            if not _is_integral(u):
+                raise ValueError(f"unit {u} is not an algebraic integer")
             if not is_totally_positive(u):
                 raise ValueError(f"unit {u} is not totally positive")
         for kd in self.quadratic_extensions:
@@ -255,39 +265,13 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
 # dihedral (non-CM) criterion
 
 
-def _k_norm_exact_base_q(kd: QuadExtDescription, unit_pair, w: Weight):
-    """Exact value, ZERO or an int, for d = 1: the criterion element lives in K."""
-    fld = kd.delta.field
-    delta = kd.delta
-    a, b = unit_pair
-
-    def kmul(x, y):
-        return (x[0] * y[0] + x[1] * y[1] * delta, x[0] * y[1] + x[1] * y[0])
-
-    def kpow(x, e):
-        out = (fld.one, fld.zero)
-        for _ in range(e):
-            out = kmul(out, x)
-        return out
-
-    eps = (a, b)
-    ceps = (a, -b)
-    m0 = w.m[0]
-    x = kmul(kpow(eps, m0), kpow(ceps, w.k0 - m0 - 1))
-    x = (x[0] - fld.one, x[1])
-    val = norm(x[0] * x[0] - delta * x[1] * x[1])  # norm from K to F, then to Q
-    assert val.denominator == 1
-    return ZERO if val == 0 else int(val)
-
-
 def dihedral_noncm_excluded(inputs: CertificationInputs, k_index: int) -> CriterionReport:
     """Unit-norm criterion along a totally real quadratic extension.
 
     The first unit with a nonzero value gives one status, shared by every
-    embedding assignment.  For F = Q the value is computed exactly in K.
-    For higher degree it is the certified full product over all sign
-    assignments and base permutations (a sound integer multiple of each
-    assignment's norm).
+    embedding assignment.  The value is the certified full product over all
+    sign assignments and base permutations (for F = Q the norm from K to Q;
+    for higher degree a sound integer multiple of each assignment's norm).
     """
     kd = inputs.quadratic_extensions[k_index]
     w = inputs.weight
@@ -314,8 +298,7 @@ def dihedral_noncm_excluded(inputs: CertificationInputs, k_index: int) -> Criter
                           if kd.units else "no units supplied")
     for i, pair in enumerate(kd.units):
         try:
-            value = (_k_norm_exact_base_q(kd, pair, w) if d == 1
-                     else _wreath_product_value(kd, pair, w, inputs.precision_cap))
+            value = _wreath_product_value(kd, pair, w, inputs.precision_cap)
         except Indeterminate:
             status = SubsetStatus(kind="indeterminate",
                                   note="interval certification hit the precision cap")
@@ -340,21 +323,13 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
     exponent k0 - m_t - 1, and C_2 wr G permutes the positions.  The product
     is nfield's symmetrized kernel with J = every position.
 
-    Returns an int, or ZERO when the unit lies in F and the exact value
-    vanishes; raises Indeterminate when no integer is pinned at the cap.
+    Returns an int, or ZERO when the product is 0; raises Indeterminate
+    when no integer is pinned at the cap.
     """
     fld = kd.delta.field
     d = fld.degree
     a, b = pair
     group = _symmetrization_group(fld)
-    if b.is_zero():
-        # element of F: every embedding pair collapses; exact value
-        base = norm(a) ** (w.k0 - 1) - 1
-        if base == 0:
-            return ZERO
-        total = base ** ((1 << d) * len(group))
-        assert total.denominator == 1
-        return int(total)
 
     def table(bits):
         emb_a, emb_b, emb_delta = ([embed(x, j, bits) for j in range(d)] for x in (a, b, kd.delta))
@@ -365,7 +340,8 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
     # (signs, g) sends position 2t + u to 2 g(t) + (u xor signs_t)
     wreath = [tuple(2 * g[t] + (u ^ signs[t]) for t in range(d) for u in (0, 1))
               for signs in itertools.product((0, 1), repeat=d) for g in group]
-    return _certified_product(table, exponents, range(2 * d), wreath, cap).value
+    value = _certified_product(table, exponents, range(2 * d), wreath, cap)
+    return value if isinstance(value, Zero) else value.value
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Exact kernels shared across hmfcert: fraction-free integer elimination
-and dense polynomial arithmetic.
+"""Exact kernels shared across hmfcert: fraction-free integer elimination,
+characteristic polynomials and dense polynomial arithmetic.
 
 bareiss_det and _solve are the integer elimination core of lattice, and
-nfield clears denominators and calls them for norms and inverses.  The
+nfield clears denominators and calls them for norms and inverses.
+_charpoly gives lattice the eigenvalue candidates of its operators and
+nfield the integrality test of its units.  The
 polynomial helpers work on dense lists, low degree first, over any
 coefficient ring: nfield multiplies and reduces field elements with them,
 gl2img builds its F_q tables, modform its complex local factors, and
@@ -11,6 +13,8 @@ from hmfcert, so each of those modules can use it without loading another.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def bareiss_det(m) -> int:
@@ -61,6 +65,26 @@ def _solve(a, b) -> tuple[int, list[list[int]]]:
                 rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rk)]
         prev = pk
     return prev, [row[n:] for row in rows]
+
+
+def _charpoly(m) -> list[Fraction]:
+    """Characteristic polynomial det(xI - M), low degree first, exact.
+
+    Berkowitz's division-free recursion over the leading principal blocks:
+    bordering the block A_k by column C, row R and corner a multiplies its
+    polynomial by the Toeplitz matrix of 1, -a, -RC, -RAC, ..., -RA^(k-1)C.
+    """
+    n = len(m)
+    poly = [Fraction(1)]  # high degree first
+    for k in range(n):
+        t = [1, -m[k][k]]
+        v = [m[i][k] for i in range(k)]
+        for _ in range(k):
+            t.append(-sum(r * x for r, x in zip(m[k], v)))
+            v = [sum(m[i][j] * v[j] for j in range(k)) for i in range(k)]
+        poly = [sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly[::-1]
 
 
 # ---------------------------------------------------------------------------

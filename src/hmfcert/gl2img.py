@@ -22,7 +22,7 @@ CLOSURE_CAP = 10**6
 TENSOR_DEGREE_CAP = 10
 
 
-class CapExceeded(Exception):
+class CapExceeded(ValueError):
     pass
 
 
@@ -30,7 +30,7 @@ class SizeOverflow(Exception):
     pass
 
 
-class Inconsistent(Exception):
+class Inconsistent(ValueError):
     pass
 
 

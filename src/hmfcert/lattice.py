@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _poly_eval, _solve, bareiss_det
+from .exact import _charpoly, _poly_eval, _solve, bareiss_det
 
 
-class DegenerateSplit(Exception):
+class DegenerateSplit(ValueError):
     pass
 
 
@@ -29,11 +29,11 @@ class FusionMismatch(Exception):
     """The three congruence-module quotients disagree; indicates a bug."""
 
 
-class NotCommuting(Exception):
+class NotCommuting(ValueError):
     pass
 
 
-class NotStable(Exception):
+class NotStable(ValueError):
     pass
 
 
@@ -566,26 +566,6 @@ def disc_pairing(gram, d: int) -> DiscPairing:
 
 # ---------------------------------------------------------------------------
 # eigensystems and congruence detection
-
-
-def _charpoly(m) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M), low degree first, exact.
-
-    Berkowitz's division-free recursion over the leading principal blocks:
-    bordering the block A_k by column C, row R and corner a multiplies its
-    polynomial by the Toeplitz matrix of 1, -a, -RC, -RAC, ..., -RA^(k-1)C.
-    """
-    n = len(m)
-    poly = [Fraction(1)]  # high degree first
-    for k in range(n):
-        t = [1, -m[k][k]]
-        v = [m[i][k] for i in range(k)]
-        for _ in range(k):
-            t.append(-sum(r * x for r, x in zip(m[k], v)))
-            v = [sum(m[i][j] * v[j] for j in range(k)) for i in range(k)]
-        poly = [sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-                for i in range(k + 2)]
-    return poly[::-1]
 
 
 def _integer_roots(coeffs: list[Fraction]) -> list[int]:

@@ -29,13 +29,17 @@ division by x - r or x^2 - s x + p.  Other inputs ask sympy.
 The certified kernel is symmetrized_norm: the integer
 prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 ),
 and its two-product form symmetrized_difference_norm.  Both share one
-body, exact where eps is rational or the field is quadratic; elsewhere the
-integer comes from the interval kernel _certified_product.  The kernel
-takes a _PowerTable of intervals (a function of the bits) and a
-permutation group on their indices, so the dihedral criterion runs on it
-too: the 2d real embeddings of K = F(sqrt(delta)) under C_2 wr G, with
-J = every position.  _certify, the one precision-escalation loop,
-doubles the bits from 64 up to the cap until the interval pins an integer.
+body, exact where the field is quadratic; elsewhere the integer comes from
+the interval kernel _certified_product.  The kernel takes a _PowerTable
+of intervals (a function of the bits) and a permutation group on their
+indices, so the dihedral criterion runs on it too: the 2d real embeddings
+of K = F(sqrt(delta)) under C_2 wr G, with J = every position.  _certify,
+the one precision-escalation loop, doubles the bits from 64 up to the cap
+until the interval pins an integer.  The product is a rational integer,
+since eps is an algebraic integer and the product is invariant under G,
+so an interval narrower than 1/2 proves the one integer inside it, 0
+included: a zero is proven as a non-zero value is, from the same
+enclosure and the same data.
 
 A certificate evaluates both forms for every subset J on the same unit,
 so the per-unit work is done once.  The field keeps, beside its root
@@ -70,18 +74,18 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import _poly_eval, _poly_mul, _poly_rem, _solve, bareiss_det
+from .exact import _charpoly, _poly_eval, _poly_mul, _poly_rem, _solve, bareiss_det
 
 
-class NotIrreducible(Exception):
+class NotIrreducible(ValueError):
     pass
 
 
-class NotTotallyReal(Exception):
+class NotTotallyReal(ValueError):
     pass
 
 
-class NotSquarefree(Exception):
+class NotSquarefree(ValueError):
     pass
 
 
@@ -99,8 +103,8 @@ class UnsupportedDegree(Exception):
 
 class Indeterminate(Exception):
     """Interval certification reached the escalation cap without pinning an
-    integer: the last interval straddled 0, was 1/2 or wider, or held no
-    integer (as inconsistent Galois data can make it)."""
+    integer: the last interval was 1/2 or wider, or held no integer (as
+    inconsistent Galois data can make it)."""
 
     def __init__(self, max_bits: int):
         super().__init__(f"indeterminate after escalating to {max_bits} bits")
@@ -286,9 +290,9 @@ class DyadicInterval:
         return _interval(math.isqrt(lo_s), hi_n, bits)
 
     def pinned_integer(self) -> int | None:
-        """The integer inside when the width is < 1/2 and 0 is outside, else None."""
+        """The integer inside when the width is < 1/2, else None."""
         lo_m, hi_m, exp = self.lo_m, self.hi_m, self.exp
-        if (hi_m - lo_m) << 1 >= 1 << exp or lo_m <= 0 <= hi_m:
+        if (hi_m - lo_m) << 1 >= 1 << exp:
             return None
         n = _ceil_shift(lo_m, exp)
         return n if n << exp <= hi_m else None
@@ -307,7 +311,7 @@ class CertifiedInteger:
 
 
 class Zero:
-    """Sentinel for an exactly-proven zero of symmetrized_norm."""
+    """Sentinel for a proven zero of symmetrized_norm."""
 
     _instance = None
 
@@ -762,6 +766,18 @@ def norm(a: FieldElem) -> Fraction:
     return Fraction(bareiss_det(rows), den ** a.field.degree)
 
 
+def _is_integral(a: FieldElem) -> bool:
+    """Whether a is an algebraic integer.
+
+    With M = den * (matrix of multiplication by a) and charpoly(M) =
+    sum c_k x^k, a's characteristic polynomial is sum c_k den^(k-d) x^k,
+    which has integer coefficients exactly when a is integral.
+    """
+    den, rows = _integer_mult_matrix(a)
+    d = a.field.degree
+    return all(c % den ** (d - k) == 0 for k, c in enumerate(_charpoly(rows)))
+
+
 def trace(a: FieldElem) -> Fraction:
     den, rows = _integer_mult_matrix(a)
     return Fraction(sum(rows[i][i] for i in range(a.field.degree)), den)
@@ -906,8 +922,9 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     G is the field's Galois permutation data when present, else the full
     symmetric group (in which case the result is an integer multiple of
     the true norm; divisibility remains a sound exclusion certificate).
+    eps must be a unit: an algebraic integer of norm +-1.
 
-    Returns a CertifiedInteger, the Zero sentinel (only on an exact proof),
+    Returns a CertifiedInteger, the Zero sentinel when the integer is 0,
     or raises Indeterminate when no integer is pinned at the cap.
     """
     fld = fld or eps.field
@@ -916,25 +933,9 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     if len(e) != d:
         raise ValueError("exponent vector length must equal the degree")
     unit = eps._unit_memo
-    n_eps = unit.norm
-    if abs(n_eps) != 1:
-        raise ValueError("symmetrized_norm requires a unit (norm +-1)")
-    group = _symmetrization_group(fld)
-
-    if all(x == 0 for x in e):
-        return ZERO
-
-    # exact path: constant exponent vector; each factor is norm(eps)^c - 1
-    if len(set(e)) == 1:
-        c = e[0]
-        val = n_eps**c - 1
-        if val == 0:
-            return ZERO
-        prod = val ** len(group)
-        assert prod.denominator == 1
-        return CertifiedInteger(int(prod), Fraction(0))
-
-    return _symmetrized(unit, e, range(d), fld, group, precision_cap)
+    if not unit.is_unit:
+        raise ValueError("symmetrized_norm requires a unit (an algebraic integer of norm +-1)")
+    return _symmetrized(unit, e, range(d), fld, _symmetrization_group(fld), precision_cap)
 
 
 def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
@@ -953,8 +954,8 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
     subset = frozenset(subset)
     group = _symmetrization_group(fld)
     unit = eps._unit_memo
-    if abs(unit.norm) != 1:
-        raise ValueError("requires a unit")
+    if not unit.is_unit:
+        raise ValueError("requires a unit (an algebraic integer of norm +-1)")
     exps = [e_on[t] if t in subset else e_off[t] for t in range(fld.degree)]
     return _symmetrized(unit, exps, subset, fld, group, precision_cap)
 
@@ -963,21 +964,12 @@ def _symmetrized(unit, e, subset, fld, group, cap):
     """prod_{g in group}(prod_{t in J} emb_{g(t)}(eps)^e_t
                           - prod_{t not in J} emb_{g(t)}(eps)^e_t), J = subset.
 
-    unit is the _UnitMemo of eps.  Exact when eps is rational (+-1) or the
-    field is quadratic, where the product is the norm of a - b; otherwise
-    _certified_product on the tables of eps's d embeddings.
+    unit is the _UnitMemo of eps.  Exact when the field is quadratic, where
+    the product is the norm of a - b; otherwise _certified_product on the
+    tables of eps's d embeddings.
     """
     eps = unit.eps
-    d = fld.degree
-    if eps.is_rational():
-        r = eps.as_rational()
-        val = (r ** sum(e[t] for t in range(d) if t in subset)
-               - r ** sum(e[t] for t in range(d) if t not in subset))
-        if val == 0:
-            return ZERO
-        return CertifiedInteger(int(val ** len(group)), Fraction(0))
-
-    if d == 2:
+    if fld.degree == 2:
         parts = (eps, _conjugate_quadratic(eps))
         a = b = fld.one
         for t in range(2):
@@ -1017,7 +1009,8 @@ class _PowerTable:
 
 
 class _UnitMemo:
-    """norm(eps) and, per precision level, the _PowerTable of eps's embeddings.
+    """norm(eps), whether eps is a unit, and per precision level the
+    _PowerTable of eps's embeddings.
 
     A level's table is kept with the root cells embed would start from,
     fld._refined_root(i, bits + 4), and is used only while those cells are
@@ -1026,11 +1019,12 @@ class _UnitMemo:
     table is rebuilt in place.
     """
 
-    __slots__ = ("eps", "norm", "_levels")
+    __slots__ = ("eps", "norm", "is_unit", "_levels")
 
     def __init__(self, eps: FieldElem):
         self.eps = eps
         self.norm = norm(eps)
+        self.is_unit = abs(self.norm) == 1 and _is_integral(eps)
         self._levels = {}
 
     def table(self, bits: int) -> _PowerTable:
@@ -1048,7 +1042,8 @@ def _certified_product(tables, e, subset, group, cap):
     """_certify of prod_{g in group}(prod_{t in J} x_{g(t)}^e_t - prod_{t not in J} x_{g(t)}^e_t).
 
     tables(bits) is a _PowerTable of intervals around the reals x_0, x_1,
-    ...; group permutes their indices.
+    ...; group permutes their indices.  The caller vouches that the
+    product is a rational integer.
     """
     reps, stabilizer_order = _label_cosets(e, subset, group)
     return _certify(lambda bits: _interval_product(tables(bits), e, subset, reps,
@@ -1117,13 +1112,14 @@ def _rounded_product(terms, g, bits):
     return lo, hi, exp
 
 
-def _certify(evaluate, cap: int) -> CertifiedInteger:
+def _certify(evaluate, cap: int) -> CertifiedInteger | Zero:
     """The integer pinned by evaluate(bits) at 64, 128, ... bits up to cap.
 
-    evaluate returns an interval around the exact integer.  A
-    ZeroDivisionError (an inverted interval still holds 0) or an interval
-    that pins no integer asks for twice the bits; past cap this raises
-    Indeterminate(cap).
+    evaluate returns an interval around an exact rational integer, so an
+    interval narrower than 1/2 proves the one integer inside it: ZERO when
+    it is 0, else a CertifiedInteger.  A ZeroDivisionError (an inverted
+    interval still holds 0) or an interval that pins no integer asks for
+    twice the bits; past cap this raises Indeterminate(cap).
     """
     bits = _START_BITS
     while bits <= cap:
@@ -1133,6 +1129,8 @@ def _certify(evaluate, cap: int) -> CertifiedInteger:
             bits *= 2
             continue
         value = iv.pinned_integer()
+        if value == 0:
+            return ZERO
         if value is not None:
             return CertifiedInteger(value, iv.width)
         bits *= 2

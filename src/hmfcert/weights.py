@@ -14,15 +14,15 @@ from fractions import Fraction
 from .primes import is_prime, next_prime
 
 
-class ParityMismatch(Exception):
+class ParityMismatch(ValueError):
     pass
 
 
-class WeightTooSmall(Exception):
+class WeightTooSmall(ValueError):
     pass
 
 
-class InvalidPartition(Exception):
+class InvalidPartition(ValueError):
     pass
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +161,84 @@ class TestMalformedConfig:
     ])
     def test_congruence_module_not_an_object(self, tmp_path, capsys, cfg, message):
         assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, f"error: {message}\n")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+NON_INTEGRAL_Q2 = {"field": {"min_poly": [-2, 0, 1], "units": [["113/49", "72/49"]]},
+                   "weight": {"k": [4, 2]}}
+# (x + 3)^3 / 17 in x^3 - 3x + 1: norm 1, totally positive, not integral
+NON_INTEGRAL_CUBIC = {"field": {"min_poly": [1, -3, 0, 1],
+                                "units": [["26/17", "30/17", "9/17"]]},
+                      "weight": {"k": [6, 4, 2]}}
+NON_INTEGRAL_K_UNIT = {"field": {"min_poly": [0, 1], "units": [["1"]]},
+                       "weight": {"k": [2]},
+                       "criteria": {"quadratic_extensions": [
+                           {"delta": ["2"], "units": [[["113/49"], ["72/49"]]]}]}}
+
+
+def _cm(**cfg):
+    return dict({"lattice": [[1, 0], [0, 5]], "split": 1, "p": 5}, **cfg)
+
+
+class TestOneLineErrorsInSubprocess:
+    """Bad input ends in one error line and exit 1 from a fresh CLI process."""
+
+    CASES = {
+        "non_integral_quadratic_unit": (
+            "exclude-primes", NON_INTEGRAL_Q2,
+            "validation error: unit FieldElem(Fraction(113, 49), Fraction(72, 49)) "
+            "is not an algebraic integer"),
+        "non_integral_cubic_unit": (
+            "exclude-primes", NON_INTEGRAL_CUBIC,
+            "validation error: unit FieldElem(Fraction(26, 17), Fraction(30, 17), "
+            "Fraction(9, 17)) is not an algebraic integer"),
+        "non_integral_k_unit": (
+            "exclude-primes", NON_INTEGRAL_K_UNIT,
+            "validation error: K: FieldElem(Fraction(113, 49),) + FieldElem(Fraction(72, 49),) "
+            "sqrt(delta) is not an algebraic integer"),
+        "dependent_split": (
+            "congruence-module", _cm(split={"v1": [[1, 0]], "v2": [[2, 0]]}),
+            "validation error: V1 and V2 do not span complementary subspaces"),
+        "non_commuting_ops": (
+            "congruence-module",
+            _cm(lattice=[[1, 0], [0, 1]], ops=[[[1, 1], [0, 1]], [[1, 0], [1, 1]]]),
+            "validation error: operators do not commute"),
+        "no_lattice": ("congruence-module", {"split": 1, "p": 5},
+                       "error: congruence-module config lacks keys ['lattice']"),
+        "no_split": ("congruence-module", {"lattice": [[1, 0], [0, 5]], "p": 5},
+                     "error: congruence-module config lacks keys ['split']"),
+        "no_p": ("congruence-module", {"lattice": [[1, 0], [0, 5]], "split": 1},
+                 "error: congruence-module config lacks keys ['p']"),
+        "split_without_v1": ("congruence-module", _cm(split={"v2": [[0, 1]]}),
+                             "error: congruence-module split lacks keys ['v1']"),
+        "split_without_v2": ("congruence-module", _cm(split={"v1": [[1, 0]]}),
+                             "error: congruence-module split lacks keys ['v2']"),
+        "split_unknown_key": (
+            "congruence-module", _cm(split={"v1": [[1, 0]], "v2": [[0, 1]], "v3": []}),
+            "error: unknown keys in congruence-module split: ['v3']"),
+        "empty_lattice": ("congruence-module", _cm(lattice=[]),
+                          "error: congruence-module 'lattice' has no rows"),
+    }
+
+    @staticmethod
+    def _cli(*argv):
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        return subprocess.run([sys.executable, "-B", "-m", "hmfcert.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_config_error(self, tmp_path, name):
+        command, cfg, message = self.CASES[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = self._cli(command, "--config", str(path))
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", message + "\n")
+
+    def test_closure_cap_exceeded(self):
+        out = self._cli("classify-image", "--p", "7", "--gens", "1,1,0,1;1,0,1,1", "--cap", "10")
+        assert (out.returncode, out.stdout, out.stderr) == (
+            1, "", "validation error: closure exceeded 10 elements\n")
 
 
 class TestPrecisionCap:

@@ -15,6 +15,7 @@ from hmfcert.criteria import (
     irr_excluded_primes,
 )
 from hmfcert.nfield import (
+    ZERO,
     DyadicInterval,
     Indeterminate,
     embed,
@@ -126,6 +127,31 @@ def wreath_product_oracle(kd: QuadExtDescription, pair, w, bits):
                 f = (f * up * dn).round(bits)
             total = (total * (f - one)).round(bits)
     return total
+
+
+def _k_norm_exact_base_q(kd: QuadExtDescription, unit_pair, w):
+    """Exact value, ZERO or an int, for d = 1: the criterion element lives in K."""
+    fld = kd.delta.field
+    delta = kd.delta
+    a, b = unit_pair
+
+    def kmul(x, y):
+        return (x[0] * y[0] + x[1] * y[1] * delta, x[0] * y[1] + x[1] * y[0])
+
+    def kpow(x, e):
+        out = (fld.one, fld.zero)
+        for _ in range(e):
+            out = kmul(out, x)
+        return out
+
+    eps = (a, b)
+    ceps = (a, -b)
+    m0 = w.m[0]
+    x = kmul(kpow(eps, m0), kpow(ceps, w.k0 - m0 - 1))
+    x = (x[0] - fld.one, x[1])
+    val = norm(x[0] * x[0] - delta * x[1] * x[1])  # norm from K to F, then to Q
+    assert val.denominator == 1
+    return ZERO if val == 0 else int(val)
 
 
 @pytest.fixture(scope="module")
@@ -304,15 +330,16 @@ class TestDihedral:
         assert rep.aggregate == (2, 3)
 
     def test_indeterminate_at_low_cap(self, q5, eps0):
-        # sqrt(eps0) makes the criterion value exactly zero: never certifies
+        # sqrt(eps0) makes the criterion value exactly zero: it is proven
+        # zero at the first level, and never certifies a non-zero value
         kd = QuadExtDescription(delta=eps0, units=((q5.zero, q5.one),),
                                 label="degenerate")
         inputs = CertificationInputs(field=q5, weight=make_weight([4, 2]),
                                      delta=20, units=(eps0,),
                                      quadratic_extensions=(kd,),
-                                     precision_cap=512)
+                                     precision_cap=64)
         rep = dihedral_noncm_excluded(inputs, 0)
-        assert all(st.kind == "indeterminate" for _, st in rep.per_subset)
+        assert all(st.kind == "degenerate" for _, st in rep.per_subset)
 
     @pytest.mark.parametrize("k, value, primes", [
         ((6, 4, 2), 2687832743450974656340378342003908507835826176, (2, 7, 199, 239)),
@@ -429,13 +456,13 @@ class TestDihedral:
         inputs = CertificationInputs(field=f, weight=make_weight([2]), delta=8,
                                      units=(f.one,), quadratic_extensions=(kd,))
         tried = []
-        exact = criteria._k_norm_exact_base_q
+        value = criteria._wreath_product_value
 
-        def counted_exact(kd_, pair, w):
+        def counted_value(kd_, pair, w, cap):
             tried.append(pair)
-            return exact(kd_, pair, w)
+            return value(kd_, pair, w, cap)
 
-        monkeypatch.setattr(criteria, "_k_norm_exact_base_q", counted_exact)
+        monkeypatch.setattr(criteria, "_wreath_product_value", counted_value)
         rep = dihedral_noncm_excluded(inputs, 0)
         assert tried == list(kd.units[:2])
         assert [(st.kind, st.value, st.unit_index) for _, st in rep.per_subset] == \
@@ -453,11 +480,16 @@ def _value_or_indeterminate(run):
         return Indeterminate
 
 
+def _value_or_zero(certified):
+    return certified if certified is ZERO else certified.value
+
+
 class TestWreathOracle:
     """_wreath_product_value agrees with the multiplied-out product over C_2 wr G."""
 
-    # (poly, galois, delta, units, k, certified): certified says whether the
-    # first unit pins a value at 1024 bits, so the comparison is never vacuous
+    # (poly, galois, delta, units, k, nonzero): nonzero says whether the
+    # first unit's value is non-zero; every first unit is pinned at 1024
+    # bits, so the comparison is never vacuous
     CASES = [
         ([1, -4, 0, 1], None, [2], [([1], [1]), ([3], [2])], (6, 4, 2), True),
         ([1, -4, 0, 1], None, [2], [([1], [1]), ([3], [2])], (4, 4, 4), True),
@@ -471,8 +503,8 @@ class TestWreathOracle:
         (KLEIN_QUARTIC, KLEIN_GALOIS, [5], [([-3, -2, 3], [0, 1])], (4, 2, 2, 2), True),
     ]
 
-    @pytest.mark.parametrize("poly, galois, delta, units, k, certified", CASES)
-    def test_matches_multiplied_out_oracle(self, poly, galois, delta, units, k, certified):
+    @pytest.mark.parametrize("poly, galois, delta, units, k, nonzero", CASES)
+    def test_matches_multiplied_out_oracle(self, poly, galois, delta, units, k, nonzero):
         fld = make_field(poly, galois)
         kd = QuadExtDescription(
             delta=fld.element(delta),
@@ -480,13 +512,118 @@ class TestWreathOracle:
         w = make_weight(list(k))
         outcomes = []
         for pair in kd.units:
-            want = _value_or_indeterminate(lambda: nfield._certify(
-                lambda bits: wreath_product_oracle(kd, pair, w, bits), 1024).value)
+            want = _value_or_indeterminate(lambda: _value_or_zero(nfield._certify(
+                lambda bits: wreath_product_oracle(kd, pair, w, bits), 1024)))
             got = _value_or_indeterminate(
                 lambda: criteria._wreath_product_value(kd, pair, w, 1024))
             assert got == want, pair
             outcomes.append(want)
-        assert (outcomes[0] is not Indeterminate) == certified
+        assert outcomes[0] is not Indeterminate
+        assert (outcomes[0] is not ZERO) == nonzero
+
+
+class TestExactOracles:
+    """The dihedral kernel against the exact routes it replaced."""
+
+    @pytest.mark.parametrize("delta, a, b, k", [
+        (2, 1, 1, 2), (2, 3, 2, 4), (3, 2, 1, 3), (5, "1/2", "1/2", 2),
+        (5, "1/2", "1/2", 5), (6, 5, 2, 6), (7, 8, 3, 3),
+        (2, 1, 0, 2),    # b = 0, a = 1: exactly zero
+        (3, -1, 0, 3),   # b = 0, (-1)^2 - 1 = 0
+        (3, -1, 0, 4),   # b = 0, (-1)^3 - 1 = -2
+    ])
+    def test_base_q_matches_exact_value_in_k(self, rational_field, delta, a, b, k):
+        f = rational_field
+        kd = QuadExtDescription(delta=f.element([delta]),
+                                units=((f.element([a]), f.element([b])),), label="K")
+        w = make_weight([k])
+        want = _k_norm_exact_base_q(kd, kd.units[0], w)
+        assert criteria._wreath_product_value(kd, kd.units[0], w, 2**16) == want
+        inputs = CertificationInputs(field=f, weight=w, delta=1, units=(f.one,),
+                                     quadratic_extensions=(kd,))
+        st = dihedral_noncm_excluded(inputs, 0).per_subset[0][1]
+        assert (st.kind, st.value) == (("degenerate", None) if want is ZERO
+                                       else ("excludes", want))
+
+    @pytest.mark.parametrize("poly, galois, a, k", [
+        ([-5, 0, 1], None, ["1/2", "1/2"], (4, 2)),
+        ([-5, 0, 1], None, ["3/2", "1/2"], (4, 2)),
+        ([-1, -3, 0, 1], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [0, 1], (4, 2, 2)),
+        ([1, -4, 0, 1], None, [0, 1], (5, 3, 3)),
+        ([1, -4, 0, 1], None, [0, 1], (4, 2, 2)),
+        ([1, -4, 0, 1], None, [0, 0, 1], (4, 2, 2)),
+    ])
+    def test_unit_of_f_matches_norm_formula(self, poly, galois, a, k):
+        # b = 0: every embedding pair collapses to a, so each of the
+        # 2^d |G| factors is N(a)^(k0 - 1) - 1
+        fld = make_field(poly, galois)
+        a = fld.element([Fraction(x) for x in a])
+        kd = QuadExtDescription(delta=fld.element([2]), units=((a, fld.zero),), label="K")
+        w = make_weight(list(k))
+        base = norm(a) ** (w.k0 - 1) - 1
+        order = (1 << fld.degree) * len(nfield._symmetrization_group(fld))
+        want = ZERO if base == 0 else int(base ** order)
+        assert criteria._wreath_product_value(kd, kd.units[0], w, 2**16) == want
+
+
+class TestProvenZeros:
+    """Exact zeros are proven at the first precision level and reported degenerate."""
+
+    def test_quartic_without_galois_data(self):
+        # x^4 - 4x^2 + 1 with eps = x^2, which lies in Q(sqrt 3): 6 of the 16
+        # S_4 products are exactly 0
+        f = make_field(KLEIN_QUARTIC)
+        inputs = CertificationInputs(field=f, weight=make_weight([4, 2, 2, 2]), delta=1,
+                                     units=(f.gen * f.gen,), precision_cap=64)
+        kinds = [st.kind for _, st in irr_excluded_primes(inputs).per_subset]
+        assert kinds.count("degenerate") == 6
+        assert kinds.count("excludes") == 10
+
+    def test_cubic_dihedral(self):
+        # unit x^2 + x^2 sqrt 2: the sign assignment (+, -, -) gives 1 + sqrt 2
+        # the exponent -4 + 2 + 2 = 0, so one factor is exactly 1 - 1
+        f = make_field([1, -4, 0, 1])
+        u = f.gen * f.gen
+        kd = QuadExtDescription(delta=f.element([2]), units=((u, u),), label="Fsqrt2")
+        inputs = CertificationInputs(field=f, weight=make_weight([5, 3, 3]), delta=1,
+                                     units=(), quadratic_extensions=(kd,), precision_cap=64)
+        rep = dihedral_noncm_excluded(inputs, 0)
+        assert {st.kind for _, st in rep.per_subset} == {"degenerate"}
+
+
+class TestIntegrality:
+    """Units must be algebraic integers; norm +-1 alone is not enough."""
+
+    def test_non_integral_unit_rejected(self):
+        # ((9 + 4 sqrt 2) / 7)^2 has norm 1 and is totally positive
+        f = make_field([-2, 0, 1])
+        u = f.element([Fraction(113, 49), Fraction(72, 49)])
+        assert norm(u) == 1
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            CertificationInputs(field=f, weight=make_weight([4, 2]), delta=1, units=(u,))
+
+    def test_non_integral_cubic_unit_rejected(self):
+        # (x + 3)^3 / 17 in x^3 - 3x + 1: N(x + 3) = 17
+        f = make_field([1, -3, 0, 1])
+        u = (f.gen + 3) ** 3 * Fraction(1, 17)
+        assert norm(u) == 1
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            CertificationInputs(field=f, weight=make_weight([6, 4, 2]), delta=1, units=(u,))
+
+    @pytest.mark.parametrize("delta, a, b, ok", [
+        (2, "113/49", "72/49", False),  # relative norm 1, 2a not integral
+        (2, "3", "2", True),
+        (5, "1/2", "1/2", True),        # (1 + sqrt 5) / 2: 2a = 1, a^2 - 5 b^2 = -1
+    ])
+    def test_k_unit_integrality(self, rational_field, delta, a, b, ok):
+        f = rational_field
+        kd = QuadExtDescription(delta=f.element([delta]),
+                                units=((f.element([a]), f.element([b])),), label="K")
+        if ok:
+            kd.validate_units()
+        else:
+            with pytest.raises(ValueError, match="not an algebraic integer"):
+                kd.validate_units()
 
 
 class TestCertify:

@@ -4,12 +4,12 @@ committed files.
 The README promises deterministic reports; the exclude-primes configs cover
 the exact quadratic path with a dihedral extension, a cyclic cubic, a
 non-Galois cubic with a dihedral extension over intervals, and a
-Klein-four quartic whose exact-zero subsets stop at a 256-bit cap.  The
-classify-image cases cover the large-image check on SL2 conjugates over
-F_7, F_11 and F_13, SL2(F_3) (not perfect), GL2(F_3) inside GL2(F_9), the
-full GL2(F_9), GL2(F_3) extended by the scalars of F_9, and a dihedral
-group that fails it.  A file under golden/ changes only when a report is
-meant to change.
+Klein-four quartic under a 256-bit cap whose exact-zero subsets are
+proven degenerate.  The classify-image cases cover the large-image check
+on SL2 conjugates over F_7, F_11 and F_13, SL2(F_3) (not perfect),
+GL2(F_3) inside GL2(F_9), the full GL2(F_9), GL2(F_3) extended by the
+scalars of F_9, and a dihedral group that fails it.  A file under golden/
+changes only when a report is meant to change.
 """
 
 import json

@@ -100,6 +100,14 @@ def test_validation_error_after_lazy_load():
     assert out.stderr.startswith("validation error: ")
 
 
+def test_validation_error_runs_only_its_modules():
+    # run() catches ValueError alone, so an error path loads no module to
+    # name the exception classes it catches
+    out = _python("-c", WHICH, "weights", "--k", "3,4")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [1, ["primes", "weights"]]
+
+
 def test_classify_image_default_cap():
     argv = ["-m", "hmfcert.cli", "classify-image", "--p", "7", "--gens", "1,1,0,1;1,0,1,1"]
     default = _python(*argv)

@@ -21,6 +21,7 @@ from hmfcert.nfield import (
     NotTotallyPositive,
     NotTotallyReal,
     UnsupportedDegree,
+    ZERO,
     Zero,
     _certify,
     embed,
@@ -648,8 +649,9 @@ class TestIntegerIntervalsAgainstFractions:
         (Fraction(-25, 8), Fraction(-23, 8), -3),
         (Fraction(5, 2), Fraction(51, 16), None),   # width >= 1/2
         (Fraction(17, 8), Fraction(19, 8), None),   # no integer inside
-        (Fraction(-1, 8), Fraction(1, 8), None),    # straddles 0
+        (Fraction(-1, 4), Fraction(1, 4), None),    # straddles 0, width >= 1/2
         (Fraction(7), Fraction(7), 7),
+        (Fraction(-1, 8), Fraction(1, 8), 0),       # 0 is pinned like any integer
     ])
     def test_pinned_integer(self, lo, hi, want):
         assert DyadicInterval(lo, hi).pinned_integer() == want
@@ -720,7 +722,7 @@ class TestCertifyDriver:
 
     NOT_PINNED = {
         "zero_division": None,
-        "straddles_zero": (Fraction(-1, 8), Fraction(1, 8)),
+        "straddles_zero": (Fraction(-1, 4), Fraction(1, 4)),  # width 1/2
         "no_integer": (Fraction(5, 4), Fraction(3, 2)),
         "too_wide": (Fraction(2), Fraction(5, 2)),
     }
@@ -755,6 +757,16 @@ class TestCertifyDriver:
 
         assert _certify(evaluate, 2**16) == CertifiedInteger(-7, Fraction(2, 2**256))
         assert calls == [64, 128, 256]
+
+    def test_narrow_interval_around_zero_is_zero(self):
+        calls = []
+
+        def evaluate(bits):
+            calls.append(bits)
+            return DyadicInterval(Fraction(-1, 8), Fraction(1, 8))
+
+        assert _certify(evaluate, 2**16) is ZERO
+        assert calls == [64]
 
 
 class TestSingleProductIsDifferenceForm:
@@ -815,9 +827,10 @@ def _labelling(g, e, subset):
 
 def _certified_value(run):
     try:
-        return run().value
+        result = run()
     except Indeterminate:
         return Indeterminate
+    return result if result is ZERO else result.value
 
 
 class TestDistinctFactors:
@@ -1051,6 +1064,117 @@ class TestFlatIntervalLoop:
                 self._compare(embs, e, subset, reps, h, bits)
 
 
+CYCLIC_CUBIC_GALOIS = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def _value_or_zero(certified):
+    return certified if certified is ZERO else certified.value
+
+
+class TestExactFormulaOracles:
+    """The kernel against the closed forms of the exact shortcuts it replaced."""
+
+    FIELDS = [([-1, -3, 0, 1], CYCLIC_CUBIC_GALOIS), ([1, -4, 0, 1], None),
+              (KLEIN_QUARTIC, None), (KLEIN_QUARTIC, KLEIN_GALOIS),
+              (CYCLIC_QUINTIC, CYCLIC_QUINTIC_GALOIS)]
+
+    @pytest.mark.parametrize("poly, galois", FIELDS)
+    def test_constant_exponent(self, poly, galois):
+        # each factor is norm(eps)^c - 1, so the product is (N(eps)^c - 1)^|G|
+        fld = make_field(poly, galois)
+        order = len(nfield._symmetrization_group(fld))
+        for eps in (fld.gen, fld.gen * fld.gen, -fld.gen):
+            for c in range(-3, 4):
+                base = norm(eps) ** c - 1
+                want = ZERO if base == 0 else base ** order
+                assert _value_or_zero(symmetrized_norm(eps, (c,) * fld.degree)) == want
+
+    @pytest.mark.parametrize("poly, galois", [([0, 1], None), ([-5, 0, 1], None)] + FIELDS)
+    def test_rational_unit(self, poly, galois):
+        # eps = r = +-1: each factor is r^(sum over J) - r^(sum off J)
+        fld = make_field(poly, galois)
+        d = fld.degree
+        order = len(nfield._symmetrization_group(fld))
+        rng = random.Random(d)
+        for r in (Fraction(1), Fraction(-1)):
+            eps = fld.element([r])
+            for _ in range(6):
+                e_on = tuple(rng.randint(-2, 2) for _ in range(d))
+                e_off = tuple(rng.randint(-2, 2) for _ in range(d))
+                subset = {t for t in range(d) if rng.random() < 0.5}
+                base = (r ** sum(e_on[t] for t in subset)
+                        - r ** sum(e_off[t] for t in range(d) if t not in subset))
+                want = ZERO if base == 0 else base ** order
+                got = symmetrized_difference_norm(eps, e_on, e_off, subset)
+                assert _value_or_zero(got) == want, (r, e_on, e_off, subset)
+                base = r ** sum(e_on) - 1
+                want = ZERO if base == 0 else base ** order
+                assert _value_or_zero(symmetrized_norm(eps, e_on)) == want, (r, e_on)
+
+
+# (min_poly, Galois data, unit coordinates): units from a subfield, and the
+# full symmetric group, make exact zeros common
+ZERO_CASES = [
+    (KLEIN_QUARTIC, None, (0, 0, 1)),
+    (KLEIN_QUARTIC, None, (0, 1)),
+    (KLEIN_QUARTIC, KLEIN_GALOIS, (0, 0, 1)),
+    (KLEIN_QUARTIC, KLEIN_GALOIS, (1, -3, 0, 1)),  # 1 + sqrt 2
+    ([-1, -3, 0, 1], CYCLIC_CUBIC_GALOIS, (0, 0, 1)),
+    ([1, -4, 0, 1], None, (0, 1)),
+    (CYCLIC_QUINTIC, None, (0, 0, 1)),
+]
+_ZERO_CASE_FIELDS = {}
+
+
+def _kernel_zero_checked(case, e, subset):
+    """Whether the kernel gives ZERO; if so, assert that the multiplied-out
+    product over the whole group, at 4x the bits the kernel stopped at,
+    pins no integer other than 0."""
+    poly, galois, coeffs = case
+    key = repr((poly, galois))
+    if key not in _ZERO_CASE_FIELDS:
+        _ZERO_CASE_FIELDS[key] = make_field(poly, galois)
+    fld = _ZERO_CASE_FIELDS[key]
+    eps = fld.element(coeffs)
+    group = nfield._symmetrization_group(fld)
+    levels = []
+
+    def tables(bits):
+        levels.append(bits)
+        return eps._unit_memo.table(bits)
+
+    if nfield._certified_product(tables, e, subset, group, 2**12) is not ZERO:
+        return False
+    bits = 4 * levels[-1]
+    embs = [embed(eps, i, bits) for i in range(fld.degree)]
+    pinned = object_loop_product(embs, e, subset, group, 1, bits).pinned_integer()
+    assert pinned in (None, 0), (case, e, subset, pinned)
+    return True
+
+
+class TestProvenZeros:
+    """The kernel never returns ZERO where the multiplied-out product pins a non-zero integer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(ZERO_CASES), st.data())
+    def test_zero_is_never_a_nonzero_integer(self, case, data):
+        d = len(case[0]) - 1
+        e = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        subset = frozenset(data.draw(st.sets(st.integers(0, d - 1))))
+        _kernel_zero_checked(case, e, subset)
+
+    def test_seeded_cases_reach_zeros(self):
+        rng = random.Random(41)
+        zeros = 0
+        for i in range(210):
+            case = ZERO_CASES[i % len(ZERO_CASES)]
+            d = len(case[0]) - 1
+            e = [rng.randint(-1, 1) for _ in range(d)]
+            subset = frozenset(t for t in range(d) if rng.random() < 0.5)
+            zeros += _kernel_zero_checked(case, e, subset)
+        assert zeros >= 20, zeros
+
+
 class TestUnitTables:
     """One norm and one table of embeddings and powers per unit and level."""
 
@@ -1079,9 +1203,9 @@ class TestUnitTables:
         assert symmetrized_norm(eps, (2, 1, 1, 2)).value == 144
         unit = eps._unit_memo
         first = unit._levels[64][1]
-        # an exact zero escalates to the cap and refines the roots past 64 bits
-        with pytest.raises(Indeterminate):
-            symmetrized_difference_norm(eps, (0,) * 4, (0,) * 4, {0}, precision_cap=512)
+        # tables at deeper levels refine the roots past 64 bits
+        for bits in (128, 256, 512):
+            unit.table(bits)
         assert sorted(unit._levels) == [64, 128, 256, 512]
         assert symmetrized_norm(eps, (2, 1, 1, 2)).value == 144
         assert sorted(unit._levels) == [64, 128, 256, 512]
