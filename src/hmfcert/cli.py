@@ -211,6 +211,13 @@ def _split_entry(x, key: str) -> Fraction:
         raise UsageError(f"zero denominator in split {key} entry {x!r}") from None
 
 
+def _rows(x, n: int, where: str) -> list:
+    """x, if it is a list of rows that are lists of n entries."""
+    if not (isinstance(x, list) and all(isinstance(r, list) and len(r) == n for r in x)):
+        raise UsageError(f"{where} is not a list of rows of length {n}")
+    return x
+
+
 def _cmd_congruence_module(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -220,15 +227,17 @@ def _cmd_congruence_module(args) -> int:
         raise UsageError("congruence-module 'lattice' has no rows")
     lat = lattice.Lattice(tuple(tuple(int(x) for x in row) for row in cfg["lattice"]),
                           len(cfg["lattice"][0]))
-    sp = cfg["split"]
-    if isinstance(sp, int):
-        split = lattice.coordinate_split(lat.ambient_dim, sp)
+    n, sp = lat.ambient_dim, cfg["split"]
+    if isinstance(sp, int) and not isinstance(sp, bool):
+        if not 0 < sp < n:
+            raise UsageError(f"congruence-module split {sp} is not in 1..{n - 1}")
+        split = lattice.coordinate_split(n, sp)
     elif isinstance(sp, dict):
         _check_keys(sp, {"v1", "v2"}, "congruence-module split", required={"v1", "v2"})
-        split = lattice.Split(
-            tuple(tuple(_split_entry(x, "v1") for x in row) for row in sp["v1"]),
-            tuple(tuple(_split_entry(x, "v2") for x in row) for row in sp["v2"]),
-        )
+        split = lattice.Split(*(
+            tuple(tuple(_split_entry(x, key) for x in row)
+                  for row in _rows(sp[key], n, f"congruence-module split {key}"))
+            for key in ("v1", "v2")))
     else:
         raise UsageError("congruence-module split is neither an integer nor a JSON object")
     several = isinstance(cfg["p"], list)
@@ -238,8 +247,11 @@ def _cmd_congruence_module(args) -> int:
     for p in ps:
         if not primes.is_prime(p):
             raise UsageError(f"congruence-module 'p' entry {p} is not prime")
-    ops = ([tuple(tuple(int(x) for x in row) for row in op) for op in cfg["ops"]]
-           if "ops" in cfg else None)
+    if "ops" in cfg and not isinstance(cfg["ops"], list):
+        raise UsageError("congruence-module ops is not a list of matrices")
+    ops = ([tuple(tuple(int(x) for x in row)
+                  for row in _rows(op, n, "congruence-module ops entry"))
+            for op in cfg["ops"]] if "ops" in cfg else None)
     if ops is None:
         found = [(cm, None) for cm in lattice.congruence_modules(lat, split, ps)]
     else:

@@ -60,8 +60,9 @@ def _solve(a, b) -> tuple[int, list[list[int]]]:
         rk = rows[k]
         pk = rk[k]
         for i in range(n):
-            if i != k:
-                f = rows[i][k]
+            f = rows[i][k]
+            # with f == 0 and pk == prev the update is the identity
+            if i != k and (f or pk != prev):
                 rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rk)]
         prev = pk
     return prev, [row[n:] for row in rows]

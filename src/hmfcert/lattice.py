@@ -1,8 +1,10 @@
 """Exact lattice linear algebra over the integers with p-local readouts.
 
 Integer matrices are tuples of tuples of ints, row vectors spanning the
-lattice.  The elimination core is integer-only: every rational solve goes
-through one fraction-free Gauss-Jordan (_solve), every Hermite form
+lattice.  The elimination core is integer-only.  A rational solve goes
+through one fraction-free Gauss-Jordan (_solve), except in the quotient
+step, where _relation_matrix substitutes against the upper-triangular
+Hermite bases that split_lattice has already made.  Every Hermite form goes
 through hnf, or through _hnf_mod (modulo the determinant) when the matrix
 is square and nonsingular, and a rational lattice is an integer matrix
 with one common denominator.  fractions.Fraction appears only at the Split input, whose
@@ -15,7 +17,7 @@ module shares for norms and inverses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import _charpoly, _poly_eval, _solve, bareiss_det
@@ -60,17 +62,9 @@ def mat_mul(a, b):
 
 
 def det_rational(m) -> Fraction:
-    """Determinant of a rational matrix via row scaling + Bareiss."""
-    scale = Fraction(1)
-    rows = []
-    for row in m:
-        row = [Fraction(x) for x in row]
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        rows.append([int(x * lcm) for x in row])
-    return Fraction(bareiss_det(rows), 1) / scale
+    """Determinant of a rational matrix: Bareiss on m times its common denominator."""
+    rows, den = _scale_to_int([[Fraction(x) for x in row] for row in m])
+    return Fraction(bareiss_det(rows), den ** len(rows))
 
 
 def _transpose(m, ncols: int) -> list[list]:
@@ -336,14 +330,10 @@ class Split:
     v2_basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "v1_basis", tuple(tuple(Fraction(x) for x in r) for r in self.v1_basis)
-        )
-        object.__setattr__(
-            self, "v2_basis", tuple(tuple(Fraction(x) for x in r) for r in self.v2_basis)
-        )
-        n = len(self.v1_basis[0]) if self.v1_basis else len(self.v2_basis[0])
-        if len(self.v1_basis) + len(self.v2_basis) != n:
+        for name in ("v1_basis", "v2_basis"):
+            object.__setattr__(self, name, tuple(tuple(Fraction(x) for x in r)
+                                                 for r in getattr(self, name)))
+        if len(self.v1_basis) + len(self.v2_basis) != self.ambient_dim:
             raise DegenerateSplit("dim V1 + dim V2 != ambient dimension")
         if det_rational(self.v1_basis + self.v2_basis) == 0:
             raise DegenerateSplit("V1 and V2 do not span complementary subspaces")
@@ -384,7 +374,9 @@ class SplitPieces:
 
     Each piece is stored as an integer row basis in V_j-coordinates together
     with a common denominator: lattice = {rows} / denom in coordinates
-    relative to the V_j basis.
+    relative to the V_j basis.  Every piece is in Hermite form, and so is
+    basis / basis_denom, the lattice L itself in (V1, V2)-coordinates, which
+    the pieces determine and which equality therefore ignores.
     """
 
     l1: IntMatrix
@@ -395,6 +387,8 @@ class SplitPieces:
     l1_proj_denom: int
     l2_proj: IntMatrix
     l2_proj_denom: int
+    basis: IntMatrix = field(compare=False)
+    basis_denom: int = field(compare=False)
 
 
 def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
@@ -422,47 +416,46 @@ def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
     l2, l2_den = _lowest_terms([row[d1:] for row in h1[d1:]], d)
     p2, p2_den = _lowest_terms([row[:d2] for row in h2[:d2]], d)
     l1, l1_den = _lowest_terms([row[d2:] for row in h2[d2:]], d)
-    return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den)
+    return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den,
+                       *_lowest_terms(h1, d))
 
 
 def _relation_matrix(sub, sub_den: int, amb, amb_den: int) -> IntMatrix:
-    """The integer X with sub/sub_den = X * amb/amb_den, amb square.
+    """The integer X with sub/sub_den = X * amb/amb_den.
 
+    amb must be upper triangular and nonsingular, as a Hermite form is:
+    X * amb = sub * amb_den/sub_den is then solved by forward substitution.
     Raises ValueError when X is not integral, i.e. when the rows of
     sub/sub_den do not lie in the lattice spanned by amb/amb_den.
     """
-    # X = (sub * amb^-1) * amb_den/sub_den, and amb^T * Y = d * sub^T
+    n = len(amb)
     g = math.gcd(sub_den, amb_den)
     num, den = amb_den // g, sub_den // g
-    d, y = _solve(_transpose(amb, len(amb)), _transpose(sub, len(amb)))
+    cols = list(zip(*amb))
     rows = []
-    for i in range(len(sub)):
-        row = []
-        for yrow in y:
-            q, r = divmod(yrow[i] * num, d * den)
+    for srow in sub:
+        # den * x * amb = num * srow; x is 0 before srow's first nonzero entry
+        x = [0] * n
+        start = next((j for j, v in enumerate(srow) if v), n)
+        for j in range(start, n):
+            t = num * srow[j] - den * sum(a * b for a, b in zip(x[start:j], cols[j][start:j]))
+            x[j], r = divmod(t, den * amb[j][j])
             if r:
                 raise ValueError("sublattice is not contained in ambient lattice")
-            row.append(q)
-        rows.append(tuple(row))
+        rows.append(tuple(x))
     return tuple(rows)
 
 
 def _quotient_invariants(sub: IntMatrix, sub_den: int, amb: IntMatrix, amb_den: int):
-    """Invariant factors of (amb/amb_den) / (sub/sub_den), both full rank."""
+    """Invariant factors of (amb/amb_den) / (sub/sub_den), both full rank.
+
+    Both bases must be upper triangular: then so is the relation matrix X,
+    and det X, the modulus of its Hermite form, is its diagonal product.
+    """
     x = _relation_matrix(sub, sub_den, amb, amb_den)
-    return snf(_hnf_mod(x, bareiss_det(x)))
-
-
-def _ambient_rows(s: Split, pieces) -> tuple[IntMatrix, int]:
-    """A V1 piece and a V2 piece, each (rows, denom) in V_j-coordinates, as
-    rows in ambient coordinates: (integer rows, common denominator)."""
-    p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
-    den = p_den * math.lcm(*(bden for _, bden in pieces))
-    out = []
-    for (rows, bden), pj in zip(pieces, (p[:s.dim1], p[s.dim1:])):
-        scale = den // (bden * p_den)
-        out += [tuple(scale * x for x in row) for row in mat_mul(rows, pj)]
-    return tuple(out), den
+    if any(m[i][j] for m in (amb, x) for i in range(len(m)) for j in range(i)):
+        raise ValueError("basis or relation matrix is not upper triangular")
+    return snf(_hnf_mod(x, math.prod(x[i][i] for i in range(len(x)))))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -489,10 +482,7 @@ class CongruenceModule:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return math.prod(self.invariant_factors)
 
 
 def congruence_modules(lat: Lattice, s: Split, primes) -> tuple[CongruenceModule, ...]:
@@ -506,10 +496,12 @@ def congruence_modules(lat: Lattice, s: Split, primes) -> tuple[CongruenceModule
                               pieces.l1_proj, pieces.l1_proj_denom)
     q2 = _quotient_invariants(pieces.l2, pieces.l2_denom,
                               pieces.l2_proj, pieces.l2_proj_denom)
-    # middle quotient L / (L1 ⊕ L2), in ambient coordinates
-    sub_i, sub_den = _ambient_rows(s, ((pieces.l1, pieces.l1_denom),
-                                       (pieces.l2, pieces.l2_denom)))
-    qm = _quotient_invariants(sub_i, sub_den, lat.basis, 1)
+    # middle quotient L / (L1 ⊕ L2) in (V1, V2)-coordinates, with L1 ⊕ L2 block diagonal
+    den = math.lcm(pieces.l1_denom, pieces.l2_denom)
+    c1, c2 = den // pieces.l1_denom, den // pieces.l2_denom
+    sub = (tuple(tuple(c1 * x for x in row) + (0,) * s.dim2 for row in pieces.l1)
+           + tuple((0,) * s.dim1 + tuple(c2 * x for x in row) for row in pieces.l2))
+    qm = _quotient_invariants(sub, den, pieces.basis, pieces.basis_denom)
 
     out = []
     for p in primes:
@@ -570,24 +562,16 @@ def disc_pairing(gram, d: int) -> DiscPairing:
 
 def _integer_roots(coeffs: list[Fraction]) -> list[int]:
     """All integer roots (with multiplicity ignored) of a rational poly."""
-    # clear denominators
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = math.lcm(1, *(c.denominator for c in coeffs))
     ic = [int(c * denom) for c in coeffs]
     while ic and ic[-1] == 0:
         ic.pop()
     if not ic:
         return []
-    roots = []
-    shift = 0
+    # 0 is a root when x divides; the other roots divide the lowest nonzero coefficient
+    roots = [0] if ic[0] == 0 else []
     while ic[0] == 0:
-        shift = 1
         ic = ic[1:]
-    if shift:
-        roots.append(0)
-    if not ic or len(ic) == 1:
-        return roots
     c0 = abs(ic[0])
     cands = set()
     for f in range(1, int(math.isqrt(c0)) + 1):
@@ -682,6 +666,9 @@ def _find_congruences(ops, lat: Lattice, s: Split, primes) -> tuple[CongruenceSe
     The checks, the eigensystems and the split do not depend on p: each is made once.
     """
     ops = [_as_matrix(op) for op in ops]
+    n = lat.ambient_dim
+    if any(len(op) != n or any(len(row) != n for row in op) for op in ops):
+        raise ValueError(f"operator is not {n}x{n}")
     for a in ops:
         for b in ops:
             if mat_mul(a, b) != mat_mul(b, a):

@@ -1,23 +1,77 @@
 """Oracles for the lattice tests that production code does not use.
 
 localized_module_nonzero reads the congruence module's generalized
-eigenspaces over F_p with its own small F_p linear algebra, and
-split_indices gives the indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L] from
-determinants.
+eigenspaces over F_p with its own small F_p linear algebra, split_indices
+gives the indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L] from determinants,
+and three_way_by_solve computes the three congruence quotients with a
+Bareiss solve and determinant each, the middle one in ambient coordinates.
 """
+
+import math
 
 from hmfcert.lattice import (
     Lattice,
     Split,
-    _ambient_rows,
-    _relation_matrix,
+    _hnf_mod,
+    _p_part,
     _restrict,
     _scale_to_int,
+    _solve,
     _transpose,
     bareiss_det,
     mat_mul,
+    snf,
     split_lattice,
 )
+
+
+def _ambient_rows(s: Split, pieces):
+    """A V1 piece and a V2 piece, each (rows, denom) in V_j-coordinates, as
+    rows in ambient coordinates: (integer rows, common denominator)."""
+    p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
+    den = p_den * math.lcm(*(bden for _, bden in pieces))
+    out = []
+    for (rows, bden), pj in zip(pieces, (p[:s.dim1], p[s.dim1:])):
+        scale = den // (bden * p_den)
+        out += [tuple(scale * x for x in row) for row in mat_mul(rows, pj)]
+    return tuple(out), den
+
+
+def relation_matrix_by_solve(sub, sub_den: int, amb, amb_den: int):
+    """The integer X with sub/sub_den = X * amb/amb_den, for any square
+    nonsingular amb, from one Bareiss solve; ValueError when X is not integral."""
+    g = math.gcd(sub_den, amb_den)
+    num, den = amb_den // g, sub_den // g
+    d, y = _solve(_transpose(amb, len(amb)), _transpose(sub, len(amb)))
+    rows = []
+    for i in range(len(sub)):
+        row = []
+        for yrow in y:
+            q, r = divmod(yrow[i] * num, d * den)
+            if r:
+                raise ValueError("sublattice is not contained in ambient lattice")
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _invariants_by_solve(sub, sub_den, amb, amb_den):
+    x = relation_matrix_by_solve(sub, sub_den, amb, amb_den)
+    return snf(_hnf_mod(x, bareiss_det(x)))
+
+
+def three_way_by_solve(lat: Lattice, s: Split, p: int):
+    """The p-parts of the invariant factors of L^1/L_1, L/(L_1 ⊕ L_2) and
+    L^2/L_2, with the middle quotient taken in ambient coordinates."""
+    pieces = split_lattice(lat, s)
+    sub, sub_den = _ambient_rows(s, ((pieces.l1, pieces.l1_denom),
+                                     (pieces.l2, pieces.l2_denom)))
+    quotients = (
+        _invariants_by_solve(pieces.l1, pieces.l1_denom, pieces.l1_proj, pieces.l1_proj_denom),
+        _invariants_by_solve(sub, sub_den, lat.basis, 1),
+        _invariants_by_solve(pieces.l2, pieces.l2_denom, pieces.l2_proj, pieces.l2_proj_denom),
+    )
+    return tuple(tuple(_p_part(f, p) for f in q if _p_part(f, p) != 1) for q in quotients)
 
 
 def split_indices(lat: Lattice, s: Split) -> tuple[int, int]:
@@ -52,9 +106,9 @@ def localized_module_nonzero(ops, lat: Lattice, s: Split, p: int,
     for op in ops:
         # in V1-basis coordinates
         r, r_den = _scale_to_int(_restrict(op, s.v1_basis))
-        ops_v1.append(_relation_matrix(mat_mul(amb, r), den_a * r_den, amb, den_a))
+        ops_v1.append(relation_matrix_by_solve(mat_mul(amb, r), den_a * r_den, amb, den_a))
     # relation matrix of L1 in terms of the basis of L^1
-    rel = _relation_matrix(sub, den_s, amb, den_a)
+    rel = relation_matrix_by_solve(sub, den_s, amb, den_a)
     # quotient Z^d1 / rel with operator action ops_v1 (integer in this basis)
     # mod p: vector space (Z^d1 / rel + pZ^d1); compute its F_p dimension and
     # the action, then test a common generalized eigenspace for theta.

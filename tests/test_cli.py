@@ -162,6 +162,42 @@ class TestMalformedConfig:
     def test_congruence_module_not_an_object(self, tmp_path, capsys, cfg, message):
         assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, f"error: {message}\n")
 
+    GLUED3 = {"lattice": [[1, 1, 1], [0, 15, 0], [0, 0, 15]], "p": 5}
+
+    @pytest.mark.parametrize("split,message", [
+        (-1, "congruence-module split -1 is not in 1..2"),
+        (0, "congruence-module split 0 is not in 1..2"),
+        (3, "congruence-module split 3 is not in 1..2"),
+        (7, "congruence-module split 7 is not in 1..2"),
+        (True, "congruence-module split is neither an integer nor a JSON object"),
+        ({"v1": 3, "v2": [[0, 1]]}, "congruence-module split v1 is not a list of rows of length 3"),
+        ({"v1": [[1, 0, 0]], "v2": [[0, 1]]},
+         "congruence-module split v2 is not a list of rows of length 3"),
+        ({"v1": [[1, 0, 0]], "v2": [[0, 1, 0], 5]},
+         "congruence-module split v2 is not a list of rows of length 3"),
+    ])
+    def test_congruence_module_bad_split(self, tmp_path, capsys, split, message):
+        cfg = dict(self.GLUED3, split=split)
+        assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("ops,message", [
+        ([[[1]]], "error: congruence-module ops entry is not a list of rows of length 2"),
+        ([[[1, 0]]], "validation error: operator is not 2x2"),
+        ([[[1, 0], [0, 1], [0, 0]]], "validation error: operator is not 2x2"),
+        (3, "error: congruence-module ops is not a list of matrices"),
+        ([3], "error: congruence-module ops entry is not a list of rows of length 2"),
+    ])
+    def test_congruence_module_bad_ops(self, tmp_path, capsys, ops, message):
+        cfg = {"lattice": [[1, 0], [0, 5]], "split": 1, "p": 5, "ops": ops}
+        assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, message + "\n")
+
+    def test_congruence_module_split_bounds_accepted(self, tmp_path, capsys):
+        for split, factors in ((1, "[5]"), (2, "[5]")):
+            path = tmp_path / "cm.json"
+            path.write_text(json.dumps(dict(self.GLUED3, split=split)))
+            assert run(["congruence-module", "--config", str(path)]) == 0
+            assert f"invariant factors {factors} (order 5)" in capsys.readouterr().out
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -38,13 +38,19 @@ from hmfcert.lattice import (
     _lowest_terms,
     _p_part,
     _quotient_invariants,
+    _relation_matrix,
     _scale_to_int,
     _solve,
     _transpose,
     mat_mul,
 )
 
-from lattice_oracles import localized_module_nonzero, split_indices
+from lattice_oracles import (
+    localized_module_nonzero,
+    relation_matrix_by_solve,
+    split_indices,
+    three_way_by_solve,
+)
 
 
 def snf_minors_oracle(m) -> tuple[int, ...]:
@@ -90,7 +96,8 @@ def split_lattice_via_kernels(lat, s):
     l2, l2_den = intersection(slice(d1, n), slice(0, d1))
     p1, p1_den = projection(slice(0, d1))
     p2, p2_den = projection(slice(d1, n))
-    return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den)
+    return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den,
+                       *_lowest_terms(hnf(coords), abs(d)))
 
 
 class TestHnfSnf:
@@ -255,6 +262,62 @@ class TestSolve:
         with pytest.raises(ValueError, match="singular"):
             _solve([[0, 0, 1], [0, 1, 0], [0, 3, 0]], [[1], [1], [1]])
 
+    def test_identity_block(self):
+        # [I | B]: every row update is skipped, and Y is B itself
+        rng = random.Random(13)
+        for n in range(0, 9):
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            b = [[rng.randint(-50, 50) for _ in range(3)] for _ in range(n)]
+            assert _solve(ident, b) == _solve_every_row(ident, b) == (1, b)
+
+    def test_zeros_in_pivot_columns(self):
+        rng = random.Random(14)
+        cases = 0
+        while cases < 150:
+            n, k = rng.randint(1, 7), rng.randint(1, 3)
+            a = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                 for _ in range(n)]
+            if bareiss_det(a) == 0:
+                continue
+            b = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(n)]
+            d, y = _solve(a, b)
+            assert (d, y) == _solve_every_row(a, b)
+            assert abs(d) == abs(bareiss_det(a))
+            assert [[Fraction(x, d) for x in row] for row in y] == _fraction_solve(a, b)
+            cases += 1
+
+
+def _solve_every_row(a, b):
+    """exact._solve with every row updated at every step, the skip left out."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k][k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = pk
+    return prev, [row[n:] for row in rows]
+
+
+def _fraction_solve(a, b):
+    """A^-1 * B by Gauss-Jordan over Fraction."""
+    n = len(a)
+    rows = [[Fraction(x) for x in ra + rb] for ra, rb in zip(a, b)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
 
 def test_charpoly_against_sympy():
     rng = random.Random(8)
@@ -278,6 +341,42 @@ def test_quotient_invariants_rejects_non_sublattice():
     with pytest.raises(ValueError, match="sublattice is not contained in ambient lattice"):
         _quotient_invariants(((1, 1), (0, 2)), 1, ((2, 0), (0, 1)), 1)
     assert _quotient_invariants(((2, 0), (0, 3)), 1, ((1, 0), (0, 1)), 1) == (1, 6)
+
+
+def test_quotient_invariants_rejects_non_triangular():
+    # (1, 0), (1, 1) spans Z^2 but is not upper triangular, as sub or as amb:
+    # the diagonal product of the relation matrix is then no determinant
+    for sub, amb in ((((1, 0), (1, 1)), ((1, 0), (0, 1))),
+                     (((1, 0), (0, 1)), ((1, 0), (1, 1)))):
+        with pytest.raises(ValueError, match="matrix is not upper triangular"):
+            _quotient_invariants(sub, 1, amb, 1)
+
+
+class TestRelationMatrix:
+    """Substitution against a Hermite basis agrees with the Bareiss solve."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nonsingular(), st.data())
+    def test_against_solve(self, m, data):
+        n = len(m)
+        amb = hnf(m)
+        entries = st.integers(-6, 6)
+        x = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=n))
+        noise = data.draw(st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1)), min_size=n,
+                                            max_size=n), min_size=len(x), max_size=len(x)))
+        sub_den, amb_den = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        # sub/sub_den = X * amb/amb_den when the noise is 0
+        sub = [[sub_den * (v + e * amb_den) for v, e in zip(row, err)]
+               for row, err in zip(mat_mul(x, amb), noise)]
+        try:
+            want = relation_matrix_by_solve(sub, sub_den * amb_den, amb, amb_den)
+        except ValueError:
+            with pytest.raises(ValueError, match="not contained"):
+                _relation_matrix(sub, sub_den * amb_den, amb, amb_den)
+        else:
+            assert _relation_matrix(sub, sub_den * amb_den, amb, amb_den) == want
+            if not any(map(any, noise)):
+                assert want == tuple(map(tuple, x))
 
 
 class TestSplitLattice:
@@ -409,6 +508,27 @@ class TestCongruenceModule:
         with pytest.raises(FusionMismatch, match="p=5"):
             congruence_module(lat, s, 5)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_three_way_against_bareiss_solve(self, data):
+        n = data.draw(st.integers(1, 8))
+        bound = data.draw(st.sampled_from([1, 3, 20]))
+        rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n,
+                                           max_size=n), min_size=n, max_size=n))
+        assume(bareiss_det(rows) != 0)
+        lat = Lattice(tuple(map(tuple, rows)), n)
+        rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+        v = data.draw(st.lists(st.lists(rational, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        d1 = data.draw(st.integers(0, n))
+        try:
+            s = Split(tuple(map(tuple, v[:d1])), tuple(map(tuple, v[d1:])))
+        except DegenerateSplit:
+            assume(False)
+        primes = (2, 3, 5, 7)
+        assert [cm.three_way for cm in congruence_modules(lat, s, primes)] == \
+            [three_way_by_solve(lat, s, p) for p in primes]
+
     def test_large_lattice_against_determinant_index(self):
         # 24 x 24 lattice whose Smith form took seconds on unreduced integers
         rng = random.Random(5)
@@ -496,6 +616,13 @@ class TestFindCongruences:
         with pytest.raises(NotCommuting):
             find_congruences([((1, 1), (0, 1)), ((1, 0), (1, 1))], lat,
                              coordinate_split(2, 1), 5)
+
+    @pytest.mark.parametrize("op", [((1,),), ((1, 0),), ((1, 0), (0, 1), (0, 0)),
+                                    ((1, 0), (0, 1, 0))])
+    def test_operator_shape(self, op):
+        lat = Lattice(((1, 0), (0, 5)), 2)
+        with pytest.raises(ValueError, match="operator is not 2x2"):
+            find_congruences([((1, 0), (0, 1)), op], lat, coordinate_split(2, 1), 5)
 
     def test_not_stable(self):
         lat = Lattice(((1, 1), (0, 5)), 2)
