@@ -33,9 +33,9 @@ def _lazy(name: str):
 # A command runs only the module bodies it uses.  Every module is registered
 # here, exact included, so code that walks sys.modules after importing the
 # CLI (the benchmark tracer) sees each one before any of them runs.
-bgg, criteria, gl2img, lattice, modform, nfield, primes, weights = map(
-    _lazy, ("bgg", "criteria", "gl2img", "lattice", "modform", "nfield", "primes", "weights"))
-_lazy("exact")
+bgg, criteria, exact, gl2img, lattice, modform, nfield, primes, weights = map(
+    _lazy, ("bgg", "criteria", "exact", "gl2img", "lattice", "modform", "nfield", "primes",
+            "weights"))
 
 
 class UsageError(Exception):
@@ -99,7 +99,9 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
     units = tuple(_element(fld, u) for u in cfg["field"].get("units", []))
     level = cfg.get("level", {})
     delta = int(level.get("Delta", 1))
-    h_f = level.get("h_F")
+    # h_F is checked but not kept: no criterion reads it
+    if "h_F" in level and exact._as_int(level["h_F"], "level h_F") < 1:
+        raise ValueError("level h_F must be a positive integer")
     quads = []
     for kd in cfg.get("criteria", {}).get("quadratic_extensions", []):
         dlt = _element(fld, kd["delta"])
@@ -120,7 +122,7 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
     return criteria.CertificationInputs(
         field=fld, weight=w, delta=delta, units=units,
         quadratic_extensions=tuple(quads), fiber_partitions=fibers,
-        h_f=h_f, precision_cap=precision_cap,
+        precision_cap=precision_cap,
     )
 
 
@@ -225,7 +227,8 @@ def _cmd_congruence_module(args) -> int:
                 required={"lattice", "split", "p"})
     if not cfg["lattice"]:
         raise UsageError("congruence-module 'lattice' has no rows")
-    lat = lattice.Lattice(tuple(tuple(int(x) for x in row) for row in cfg["lattice"]),
+    lat = lattice.Lattice(tuple(tuple(exact._as_int(x, "congruence-module lattice entry")
+                                      for x in row) for row in cfg["lattice"]),
                           len(cfg["lattice"][0]))
     n, sp = lat.ambient_dim, cfg["split"]
     if isinstance(sp, int) and not isinstance(sp, bool):
@@ -241,7 +244,8 @@ def _cmd_congruence_module(args) -> int:
     else:
         raise UsageError("congruence-module split is neither an integer nor a JSON object")
     several = isinstance(cfg["p"], list)
-    ps = [int(p) for p in cfg["p"]] if several else [int(cfg["p"])]
+    ps = [exact._as_int(p, "congruence-module 'p' entry")
+          for p in (cfg["p"] if several else [cfg["p"]])]
     if not ps:
         raise UsageError("congruence-module 'p' lists no prime")
     for p in ps:
@@ -249,7 +253,7 @@ def _cmd_congruence_module(args) -> int:
             raise UsageError(f"congruence-module 'p' entry {p} is not prime")
     if "ops" in cfg and not isinstance(cfg["ops"], list):
         raise UsageError("congruence-module ops is not a list of matrices")
-    ops = ([tuple(tuple(int(x) for x in row)
+    ops = ([tuple(tuple(exact._as_int(x, "congruence-module ops entry") for x in row)
                   for row in _rows(op, n, "congruence-module ops entry"))
             for op in cfg["ops"]] if "ops" in cfg else None)
     if ops is None:

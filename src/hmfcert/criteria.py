@@ -153,7 +153,6 @@ class CertificationInputs:
     units: tuple[FieldElem, ...]
     quadratic_extensions: tuple[QuadExtDescription, ...] = ()
     fiber_partitions: tuple[tuple[tuple[int, ...], ...], ...] = ()
-    h_f: int | None = None
     precision_cap: int = DEFAULT_PRECISION_CAP
 
     def __post_init__(self):

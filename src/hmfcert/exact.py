@@ -8,13 +8,21 @@ nfield the integrality test of its units.  The
 polynomial helpers work on dense lists, low degree first, over any
 coefficient ring: nfield multiplies and reduces field elements with them,
 gl2img builds its F_q tables, modform its complex local factors, and
-lattice tests its integer root candidates.  The module imports nothing
-from hmfcert, so each of those modules can use it without loading another.
+lattice tests its integer root candidates.  _as_int reads caller data
+as integers.  The module imports nothing from hmfcert, so each of those
+modules can use it without loading another.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _as_int(x, what: str) -> int:
+    """x as an int, if it is an int (not a bool) or a Fraction with denominator 1."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and int(x) == x:
+        return int(x)
+    raise ValueError(f"{what} must be an integer, not {x!r}")
 
 
 def bareiss_det(m) -> int:

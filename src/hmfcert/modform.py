@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import _poly_eval, _poly_mul
-from .nfield import Field, FieldElem, embed, is_totally_positive, orbit_reduce, trace
+from .nfield import (Field, FieldElem, NotTotallyPositive, embed, is_totally_positive,
+                     orbit_reduce, trace)
 from .weights import Weight
 
 
@@ -36,10 +37,6 @@ class MissingRatio(Exception):
 
 
 class MissingCoefficient(KeyError):
-    pass
-
-
-class NotTotallyPositive(Exception):
     pass
 
 

@@ -19,12 +19,12 @@ from an integer Horner at a mantissa, embed runs Horner on an element's
 integer numerators over one common denominator, and norm and trace read
 the integer matrix of multiplication by the element.
 
-make_field decides irreducibility without sympy when the polynomial has
-d <= 5 distinct real roots: by Gauss's lemma it is then reducible exactly
-when it has a monic integer factor of degree 1 or 2, whose roots are real,
-so refining the isolated roots until their sums and products are pinned
-to within 1 leaves few integer candidates r and (s, p), each tried by exact
-division by x - r or x^2 - s x + p.  Other inputs ask sympy.
+make_field decides irreducibility exactly, at every degree.  With d simple
+real roots, Gauss's lemma makes the polynomial reducible exactly when
+prod (x - r) over some k-subset of the roots, k <= d/2, has integer
+coefficients.  The roots are refined until each such coefficient lies in
+an interval narrower than 1, which leaves at most one candidate factor
+per subset, tried by exact division.
 
 The certified kernel is symmetrized_norm: the integer
 prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 ),
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import _charpoly, _poly_eval, _poly_mul, _poly_rem, _solve, bareiss_det
+from .exact import _as_int, _charpoly, _poly_eval, _poly_mul, _poly_rem, _solve, bareiss_det
 
 
 class NotIrreducible(ValueError):
@@ -93,7 +93,7 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-class NotTotallyPositive(Exception):
+class NotTotallyPositive(ValueError):
     pass
 
 
@@ -373,14 +373,17 @@ def _sign_variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _isolate_real_roots(p) -> tuple[int, list[tuple[Fraction, Fraction]] | None]:
-    """(number of distinct real roots, isolating intervals or None).
+def _isolate_real_roots(coeffs) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint isolating intervals (lo, hi], ascending, one per root.
 
-    The disjoint intervals (lo, hi], ascending, come only when every root
-    is real and simple; bisection needs a squarefree p to terminate.
+    Raises NotIrreducible on a repeated factor, seen when the Sturm chain
+    ends in gcd(p, p') of positive degree (bisection needs a squarefree p),
+    and then NotTotallyReal when fewer than deg p roots are real.
     """
-    p = [Fraction(c) for c in p]
+    p = [Fraction(c) for c in coeffs]
     chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise NotIrreducible(f"{coeffs} has a repeated factor")
     bound = Fraction(math.ceil(1 + max(abs(c) for c in p[:-1]) / abs(p[-1])))
 
     out = []
@@ -398,9 +401,9 @@ def _isolate_real_roots(p) -> tuple[int, list[tuple[Fraction, Fraction]] | None]
 
     total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
     if total < len(p) - 1:
-        return total, None
+        raise NotTotallyReal(f"only {total} real roots for degree {len(p) - 1}")
     recurse(-bound, bound, total)
-    return total, out
+    return out
 
 
 def _sign_at(p, m: int, exp: int) -> int:
@@ -624,29 +627,24 @@ class FieldElem:
 def make_field(coeffs, galois=None) -> Field:
     """Build a totally real field from the monic integer minimal polynomial.
 
-    coeffs is low degree first.  Degree-2 fields default to the swap Galois
-    group, cyclic cubics (square discriminant) to the 3-cycle group; other
-    degrees carry no Galois data unless supplied.  Supplied data must be a
-    transitive permutation group, and on a cubic a group of order 3 needs a
-    square discriminant.
+    coeffs is low degree first, each an integer.  A polynomial with a
+    repeated factor raises NotIrreducible, then one with fewer than d real
+    roots raises NotTotallyReal, then one with a monic integer factor of
+    degree at most d/2 raises NotIrreducible.  Degree-2 fields default to
+    the swap Galois group, cyclic cubics (square discriminant) to the
+    3-cycle group; other degrees carry no Galois data unless supplied.
+    Supplied data must be a transitive permutation group, and on a cubic a
+    group of order 3 needs a square discriminant.
     """
-    coeffs = [int(c) for c in coeffs]
+    coeffs = [_as_int(c, "min_poly coefficient") for c in coeffs]
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     d = len(coeffs) - 1
-    count, intervals = _isolate_real_roots(coeffs)
-    if d > 1:
-        if intervals is not None and d <= 5:
-            reducible = _has_small_factor(coeffs, intervals)
-        else:
-            reducible = not _sympy_is_irreducible(coeffs)
-        if reducible:
-            raise NotIrreducible(f"{coeffs} has a rational factor")
-    if count < d:
-        raise NotTotallyReal(f"only {count} real roots for degree {d}")
-    assert len(intervals) == d
+    intervals = _isolate_real_roots(coeffs)
+    if d > 1 and _has_small_factor(coeffs, intervals):
+        raise NotIrreducible(f"{coeffs} has a rational factor")
     if galois is not None:
         galois = tuple(tuple(int(i) for i in perm) for perm in galois)
         _validate_galois(galois, d)
@@ -660,20 +658,11 @@ def make_field(coeffs, galois=None) -> Field:
                  galois=galois, degree=d)
 
 
-def _sympy_is_irreducible(coeffs) -> bool:
-    import sympy
-
-    x = sympy.symbols("x")
-    return sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x).is_irreducible
-
-
 def _has_small_factor(p, intervals) -> bool:
-    """Whether p has a monic integer factor x - r or x^2 - s x + q.
-
-    All roots of p are real, simple and isolated by intervals.  The roots
-    are bisected until every root, and for d >= 4 every sum and product of
-    two roots, lies in an interval of width < 1, so each candidate r, s
-    and q is the one integer (if any) inside its interval.
+    """Whether p, of degree d >= 2 with every root real, simple and isolated
+    by intervals, has a monic integer factor prod (x - r) over a k-subset
+    of the roots, 1 <= k <= d/2.  Each coefficient's interval ends narrower
+    than 1, so the candidate is the one integer (if any) inside each.
     """
     d = len(p) - 1
     roots = [_bisection_start(p, lo, hi) for lo, hi in intervals]
@@ -681,20 +670,18 @@ def _has_small_factor(p, intervals) -> bool:
     while True:
         roots = [_bisect(p, r, bits) for r in roots]
         ivs = [_interval(*r[:3]) for r in roots]
-        pairs = [(a + b, a * b) for a, b in itertools.combinations(ivs, 2)] if d >= 4 else []
-        if all(iv.width < 1 for iv in ivs + [x for pair in pairs for x in pair]):
+        # subset -> coefficients of prod (x - r) but the leading 1, low first;
+        # each is its prefix's product times x - r
+        products = {(i,): [-r] for i, r in enumerate(ivs)}
+        for k in range(2, d // 2 + 1):
+            for s in itertools.combinations(range(d), k):
+                c, r = products[s[:-1]], ivs[s[-1]]
+                products[s] = [-(r * c[0]), *(a - r * b for a, b in zip(c, c[1:])), c[-1] - r]
+        if all(c.width < 1 for coeffs in products.values() for c in coeffs):
             break
         bits *= 2
-    for iv in ivs:
-        for r in _integers_in(iv):
-            if _divides(p, [-r, 1]):
-                return True
-    for s_iv, q_iv in pairs:
-        for s in _integers_in(s_iv):
-            for q in _integers_in(q_iv):
-                if _divides(p, [q, -s, 1]):
-                    return True
-    return False
+    return any(_divides(p, [*f, 1]) for coeffs in products.values()
+               for f in itertools.product(*map(_integers_in, coeffs)))
 
 
 def _integers_in(iv: DyadicInterval) -> range:

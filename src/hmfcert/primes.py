@@ -3,9 +3,11 @@
 Everything here is deterministic.  Miller-Rabin with the prime witnesses
 2..41 is a proof of primality below psi_13 = 3317044064679887385961981,
 the least strong pseudoprime to all of them (Sorenson & Webster, Math.
-Comp. 2017).  From psi_13 on, a number must also pass sympy's BPSW test,
-so "prime" there means a probable prime: no BPSW pseudoprime is known,
-but none has been ruled out.  Pollard rho is seeded from the input so
+Comp. 2017).  From psi_13 on, a number must also pass a strong Lucas
+test with Selfridge's parameters; with the Miller-Rabin round to base 2
+this is the Baillie-PSW test (Baillie & Wagstaff, Math. Comp. 1980), so
+"prime" there means a probable prime: no BPSW pseudoprime is known, but
+none has been ruled out.  Pollard rho is seeded from the input so
 identical inputs give identical factorizations.
 """
 
@@ -53,11 +55,59 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= _PSI_13:
-        from sympy import isprime
+    return n < _PSI_13 or _strong_lucas(n)
 
-        return isprime(n)
-    return True
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, odd n > 1.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1 (none exists for a
+    square), P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes
+    when U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False  # 1 < gcd(D, n) < n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, 2 U_(k+1) = U_k + V_k, 2 V_(k+1) = D U_k + V_k
+    u, v, qk = 1, 1, Q % n
+    for i in range(d.bit_length() - 2, -1, -1):
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if d >> i & 1:
+            u, v = (u + v) % n, (D * u + v) % n
+            u, v = (u + n * (u & 1)) >> 1, (v + n * (v & 1)) >> 1
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def next_prime(n: int) -> int:

@@ -191,6 +191,31 @@ class TestMalformedConfig:
         cfg = {"lattice": [[1, 0], [0, 5]], "split": 1, "p": 5, "ops": ops}
         assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, message + "\n")
 
+    @pytest.mark.parametrize("cfg,message", [
+        ({"lattice": [[1.9, 1], [0, 5]], "split": 1, "p": 5.7},
+         "congruence-module lattice entry must be an integer, not 1.9"),
+        ({"lattice": [[1, 1], [0, 5]], "split": 1, "p": 5.7},
+         "congruence-module 'p' entry must be an integer, not 5.7"),
+        ({"lattice": [[1, 1], [0, 5]], "split": 1, "p": [5, 7.0]},
+         "congruence-module 'p' entry must be an integer, not 7.0"),
+        ({"lattice": [[1, 0], [0, 5]], "split": 1, "p": 5, "ops": [[[1, 0], [0, 2.5]]]},
+         "congruence-module ops entry must be an integer, not 2.5"),
+    ])
+    def test_congruence_module_non_integer(self, tmp_path, capsys, cfg, message):
+        assert self._run(tmp_path, capsys, cfg, "congruence-module") == (
+            1, f"validation error: {message}\n")
+
+    @pytest.mark.parametrize("field,level,message", [
+        ({"min_poly": [-5.0, 0, 1]}, {}, "min_poly coefficient must be an integer, not -5.0"),
+        ({"min_poly": [-5, 0, 1.5]}, {}, "min_poly coefficient must be an integer, not 1.5"),
+        ({}, {"h_F": 1.5}, "level h_F must be an integer, not 1.5"),
+        ({}, {"h_F": True}, "level h_F must be an integer, not True"),
+        ({}, {"h_F": 0}, "level h_F must be a positive integer"),
+    ])
+    def test_exclude_primes_non_integer(self, tmp_path, capsys, field, level, message):
+        cfg = dict(self.Q5, field=dict(self.Q5["field"], **field), level=level)
+        assert self._run(tmp_path, capsys, cfg) == (1, f"validation error: {message}\n")
+
     def test_congruence_module_split_bounds_accepted(self, tmp_path, capsys):
         for split, factors in ((1, "[5]"), (2, "[5]")):
             path = tmp_path / "cm.json"

@@ -243,6 +243,13 @@ class TestQExpansion:
         with pytest.raises(NotTotallyPositive):
             qe.coefficient_of(q5.gen)
 
+    def test_one_not_totally_positive_class(self, q5, eps0):
+        # coefficient_of checks xi; orbit_reduce, which it calls, checks the unit
+        qe = QExpansion(q5, make_weight([4, 2]), "c1", {}, -eps0)
+        with pytest.raises(NotTotallyPositive, match="eps0"):
+            qe.coefficient_of(q5.element([3, 1]))
+        assert issubclass(NotTotallyPositive, ValueError)
+
     def test_transformation_identity(self):
         # (k + m - t) + m = (k0 - 1) t componentwise
         for k in [(4, 2), (2, 2), (6, 4), (8, 2)]:

@@ -79,6 +79,26 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field([-5, 0, 2])
 
+    @pytest.mark.parametrize("coeffs", [
+        [-5.0, 0, 1], [-5, 0, 1.5], [Fraction(-9, 2), 0, 1], [-5, False, 1], ["-5", 0, 1]])
+    def test_non_integer_coefficient_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="min_poly coefficient must be an integer"):
+            make_field(coeffs)
+
+    def test_integral_fraction_coefficients_accepted(self):
+        assert make_field([Fraction(-5), 0, Fraction(1)]).min_poly == (-5, 0, 1)
+
+    @pytest.mark.parametrize("coeffs, exc, message", [
+        ([1, 0, 2, 0, 1], NotIrreducible, "repeated factor"),  # (x^2 + 1)^2
+        ([4, 0, -4, 0, 1], NotIrreducible, "repeated factor"),  # (x^2 - 2)^2
+        ([-2, 0, -1, 0, 1], NotTotallyReal, "only 2 real roots"),  # (x^2 + 1)(x^2 - 2)
+        ([2, 0, 0, 1], NotTotallyReal, "only 1 real roots"),  # x^3 + 2
+        ([-1, -1, 7, 3, -5, -1, 1], NotIrreducible, "rational factor"),  # two cubics
+    ])
+    def test_checks_run_in_order(self, coeffs, exc, message):
+        with pytest.raises(exc, match=message):
+            make_field(coeffs)
+
     def test_three_cycle_on_non_galois_cubic_rejected(self):
         # x^3 - 4x + 1 has discriminant 229, not a square: its group is S_3
         with pytest.raises(ValueError, match="229"):
@@ -1225,12 +1245,15 @@ class TestUnitTables:
 
 
 def _sympy_verdict(coeffs):
+    """make_field's verdict in its order: repeated factor, real roots, factor."""
     x = sympy.symbols("x")
     poly = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
-    if not poly.is_irreducible:
+    if not poly.is_sqf:
         return NotIrreducible
     if poly.count_roots() < poly.degree():
         return NotTotallyReal
+    if not poly.is_irreducible:
+        return NotIrreducible
     return None
 
 
@@ -1253,7 +1276,46 @@ def _poly_product(*factors):
     return out
 
 
+def _shift(p, c):
+    """p(x + c), by Horner."""
+    out = [p[-1]]
+    for a in reversed(p[:-1]):
+        out = _poly_product(out, [c, 1])
+        out[0] += a
+    return out
+
+
 class TestIrreducibilityAgainstSympy:
+    def test_degrees_2_to_8(self):
+        rng = random.Random(16)
+        cubics = [[-1, -3, 0, 1], [1, -4, 0, 1], [1, -2, -1, 1], [-2, -4, 0, 1]]
+        quartics = [[1, 0, -4, 0, 1], [1, -1, -3, 1, 1], [2, 0, -4, 0, 1]]
+        totally_real = cubics + quartics + [
+            [1, 3, -3, -4, 1, 1], [-1, 3, 6, -4, -5, 1, 1],
+            [1, -4, -10, 10, 15, -6, -7, 1, 1]]  # 2cos(2pi/17)
+        polys = [_shift(f, rng.randint(-2, 2)) for f in totally_real]
+        for _ in range(40):
+            d = rng.randint(2, 8)
+            polys.append([rng.randint(-5, 5) for _ in range(d)] + [1])
+        for _ in range(40):
+            # degree 6-8 with no factor of degree <= 2
+            f, g = rng.choice(cubics + quartics), rng.choice(cubics + quartics)
+            polys.append(_poly_product(_shift(f, rng.randint(-2, 2)), _shift(g, rng.randint(-2, 2))))
+        for _ in range(30):
+            roots = rng.sample(range(-7, 8), rng.randint(6, 8))
+            p = _poly_product(*([-r, 1] for r in roots))
+            p[0] += rng.choice([-3, -2, -1, 1, 2, 3])
+            polys.append(p)
+        for _ in range(20):
+            f = rng.choice(totally_real[:7] + [[-rng.randint(-3, 3), 1], [1, 0, 1]])
+            polys.append(_poly_product(f, f, *rng.sample([[-1, 1], [1, 0, 1], [-3, 0, 1]], 1)))
+        seen = {NotIrreducible: 0, NotTotallyReal: 0, None: 0}
+        for p in polys:
+            want = _sympy_verdict(p)
+            assert _make_field_verdict(p) is want, p
+            seen[want] += 1
+        assert min(seen.values()) >= 25, seen
+
     def test_random_monic_polynomials(self):
         rng = random.Random(41)
         cubics = [[-1, -3, 0, 1], [1, -4, 0, 1], [1, -2, -1, 1], [-1, -4, 0, 1]]
@@ -1288,6 +1350,31 @@ class TestIrreducibilityAgainstSympy:
             assert _make_field_verdict(p) is want, p
             seen[want] += 1
         assert min(seen.values()) >= 40, seen
+
+
+def test_fields_and_primes_without_sympy():
+    script = textwrap.dedent("""
+        import sys
+
+        sys.modules["sympy"] = None  # any import of sympy now fails
+        from hmfcert import nfield, primes
+
+        assert nfield.make_field([-1, 3, 6, -4, -5, 1, 1]).degree == 6
+        try:
+            nfield.make_field([2, 0, 0, 1])
+        except nfield.NotTotallyReal:
+            pass
+        else:
+            raise AssertionError("x^3 + 2 was accepted")
+        assert primes.is_prime(2**89 - 1)
+        assert not primes.is_prime(3317044064679887385961981)
+        print("ok")
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "ok\n", "")
 
 
 def test_certify_path_imports_no_sympy():

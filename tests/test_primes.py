@@ -1,7 +1,11 @@
+import random
+
 import pytest
+import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from hmfcert import primes
-from hmfcert.primes import FactorizationIncomplete, factor, is_prime
+from hmfcert.primes import FactorizationIncomplete, _strong_lucas, factor, is_prime
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first twelve and the
 # first thirteen prime bases (Sorenson & Webster, Math. Comp. 2017)
@@ -21,6 +25,22 @@ def test_small_and_large_primes():
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
     assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_strong_lucas_against_sympy():
+    assert [n for n in range(3, 10**5, 2) if _strong_lucas(n) != is_strong_lucas_prp(n)] == []
+    # the least strong Lucas pseudoprimes for Selfridge's parameters
+    for n in (5459, 5777, 10877):
+        assert _strong_lucas(n) and not sympy.isprime(n)
+
+
+def test_is_prime_against_sympy_up_to_2_256():
+    rng = random.Random(16)
+    for i in range(1200):
+        n = rng.getrandbits(rng.randint(2, 256))
+        if i % 4 == 0:
+            n = sympy.nextprime(n)
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_incomplete_factorization_keeps_the_primes_found(monkeypatch):
