@@ -10,16 +10,32 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
+from .exact import _Frozen
 from .weights import Weight, mask_indices, p_of, subset_label, subset_mask
 
 
-@dataclass(frozen=True)
-class TWeight:
-    coords: tuple[int, ...]
-    nu_exponent: int | None = None
+class TWeight(_Frozen):
+    """A torus character: one integer coordinate per embedding index.
+
+    A plain class, not a tuple: it iterates over its coordinates alone.
+    """
+
+    def __init__(self, coords: tuple[int, ...], nu_exponent: int | None = None):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "nu_exponent", nu_exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coords, self.nu_exponent) == (other.coords, other.nu_exponent)
+
+    def __hash__(self):
+        return hash((self.coords, self.nu_exponent))
+
+    def __repr__(self):
+        return f"TWeight(coords={self.coords!r}, nu_exponent={self.nu_exponent!r})"
 
     def __iter__(self):
         return iter(self.coords)
@@ -81,15 +97,14 @@ def mod_p_guard(n, p: int, d: int | None = None) -> bool:
     return p - 1 > sum(n) + d
 
 
-@dataclass(frozen=True)
-class E1Table:
+class E1Table(namedtuple("E1Table", "d k cells fil")):
     """Cells (r, i) -> subsets J with |J| <= r and |p(J)| = i, plus the
-    filtration-jump sets Fil^i = {J : |p(J)| >= i}."""
+    filtration-jump sets Fil^i = {J : |p(J)| >= i}.
 
-    d: int
-    k: tuple[int, ...]
-    cells: tuple[tuple[int, int, tuple[int, ...]], ...]  # (r, i, masks)
-    fil: tuple[tuple[int, tuple[int, ...]], ...]         # (i, masks)
+    cells holds (r, i, masks) triples and fil (i, masks) pairs.
+    """
+
+    __slots__ = ()
 
     def cell(self, r: int, i: int) -> tuple[int, ...]:
         for rr, ii, masks in self.cells:

@@ -64,10 +64,11 @@ def _check_keys(block, allowed: set, where: str, required: set = frozenset()):
 
 def _fraction(x) -> Fraction:
     try:
-        if isinstance(x, (str, int)):
+        if isinstance(x, (str, int)) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, list) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
+            return Fraction(exact._as_int(x[0], "rational numerator"),
+                            exact._as_int(x[1], "rational denominator"))
     except ZeroDivisionError:
         raise UsageError(f"zero denominator in rational {x!r}") from None
     raise UsageError(f"cannot parse rational from {x!r}")
@@ -98,7 +99,7 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
     w = weights.make_weight(cfg["weight"]["k"])
     units = tuple(_element(fld, u) for u in cfg["field"].get("units", []))
     level = cfg.get("level", {})
-    delta = int(level.get("Delta", 1))
+    delta = exact._as_int(level.get("Delta", 1), "level Delta")
     # h_F is checked but not kept: no criterion reads it
     if "h_F" in level and exact._as_int(level["h_F"], "level h_F") < 1:
         raise ValueError("level h_F must be a positive integer")
@@ -113,12 +114,12 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
                                         label=kd.get("label", "K"))
         )
     fibers = tuple(
-        tuple(tuple(int(i) for i in block) for block in part)
+        tuple(tuple(exact._as_int(i, "fiber_partitions entry") for i in block) for block in part)
         for part in cfg.get("criteria", {}).get("fiber_partitions", [])
     )
     if precision_cap is None:
-        precision_cap = int(cfg.get("output", {}).get("precision_cap",
-                                                      nfield.DEFAULT_PRECISION_CAP))
+        precision_cap = exact._as_int(cfg.get("output", {}).get(
+            "precision_cap", nfield.DEFAULT_PRECISION_CAP), "output precision_cap")
     return criteria.CertificationInputs(
         field=fld, weight=w, delta=delta, units=units,
         quadratic_extensions=tuple(quads), fiber_partitions=fibers,

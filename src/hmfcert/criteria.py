@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .nfield import (
     DEFAULT_PRECISION_CAP,
@@ -35,7 +35,6 @@ from .nfield import (
 )
 from .primes import FactorizationIncomplete, factor
 from .weights import (
-    BoundsReport,
     Weight,
     mask_indices,
     mw_check,
@@ -54,14 +53,12 @@ class MixedSignature(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SubsetStatus:
-    kind: str  # "excludes" | "degenerate" | "indeterminate"
-    primes: tuple[int, ...] = ()
-    value: int | None = None
-    unit_index: int | None = None
-    note: str = ""
-    incomplete: bool = False  # an unfactored cofactor may hide primes
+class SubsetStatus(namedtuple("SubsetStatus", "kind primes value unit_index note incomplete",
+                              defaults=((), None, None, "", False))):
+    """kind is "excludes", "degenerate" or "indeterminate"; incomplete says
+    that an unfactored cofactor may hide primes."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         out = {"kind": self.kind}
@@ -76,12 +73,11 @@ class SubsetStatus:
         return out
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    criterion_id: str
-    per_subset: tuple[tuple[int, SubsetStatus], ...]
-    aggregate: tuple[int, ...]
-    notes: tuple[str, ...] = ()
+class CriterionReport(namedtuple("CriterionReport", "criterion_id per_subset aggregate notes",
+                                 defaults=((),))):
+    """per_subset holds (mask, SubsetStatus) pairs; aggregate the excluded primes."""
+
+    __slots__ = ()
 
     @property
     def has_indeterminate(self) -> bool:
@@ -107,13 +103,11 @@ class CriterionReport:
         }
 
 
-@dataclass(frozen=True)
-class QuadExtDescription:
+class QuadExtDescription(namedtuple("QuadExtDescription", "delta units label",
+                                    defaults=("K",))):
     """K = F(sqrt(delta)) with a unit list given as (a, b) pairs: a + b sqrt(delta)."""
 
-    delta: FieldElem
-    units: tuple[tuple[FieldElem, FieldElem], ...]
-    label: str = "K"
+    __slots__ = ()
 
     def signature(self) -> str:
         signs = {embed_sign(self.delta, i) for i in range(self.delta.field.degree)}
@@ -145,34 +139,40 @@ class QuadExtDescription:
                 )
 
 
-@dataclass(frozen=True)
-class CertificationInputs:
-    field: Field
-    weight: Weight
-    delta: int  # norm of level times different, caller-supplied
-    units: tuple[FieldElem, ...]
-    quadratic_extensions: tuple[QuadExtDescription, ...] = ()
-    fiber_partitions: tuple[tuple[tuple[int, ...], ...], ...] = ()
-    precision_cap: int = DEFAULT_PRECISION_CAP
+class CertificationInputs(namedtuple(
+        "CertificationInputs",
+        "field weight delta units quadratic_extensions fiber_partitions precision_cap")):
+    """The data of one certificate, checked at construction.
 
-    def __post_init__(self):
-        if self.field.degree != self.weight.d:
+    delta is the norm of the level times the different, caller-supplied;
+    fiber_partitions holds partitions of the embedding indices into blocks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, field: Field, weight: Weight, delta: int, units: tuple[FieldElem, ...],
+                quadratic_extensions: tuple[QuadExtDescription, ...] = (),
+                fiber_partitions: tuple[tuple[tuple[int, ...], ...], ...] = (),
+                precision_cap: int = DEFAULT_PRECISION_CAP):
+        if field.degree != weight.d:
             raise ValueError("field degree and weight length differ")
-        if self.delta < 1:
+        if delta < 1:
             raise ValueError("delta must be a positive integer")
-        if self.precision_cap < _START_BITS:
-            raise ValueError(f"precision cap {self.precision_cap} is below {_START_BITS}, "
+        if precision_cap < _START_BITS:
+            raise ValueError(f"precision cap {precision_cap} is below {_START_BITS}, "
                              "the first precision level, so nothing could be certified")
-        for u in self.units:
+        for u in units:
             if abs(norm(u)) != 1:
                 raise ValueError(f"unit {u} does not have norm +-1")
             if not _is_integral(u):
                 raise ValueError(f"unit {u} is not an algebraic integer")
             if not is_totally_positive(u):
                 raise ValueError(f"unit {u} is not totally positive")
-        for kd in self.quadratic_extensions:
+        for kd in quadratic_extensions:
             kd.signature()  # raises on mixed signature
             kd.validate_units()
+        return super().__new__(cls, field, weight, delta, units, quadratic_extensions,
+                               fiber_partitions, precision_cap)
 
 
 UNIT_CONGRUENCE_NOTE = (
@@ -347,23 +347,14 @@ def _wreath_product_value(kd: QuadExtDescription, pair, w: Weight, cap: int):
 # full certification
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    field_poly: tuple[int, ...]
-    weight: Weight
-    delta: int
-    delta_primes: tuple[int, ...]
-    bounds: BoundsReport
-    mw_ok: bool
-    mw_witness: int | None
-    irr: CriterionReport
-    dihedral: tuple[CriterionReport, ...]
-    non_induced: tuple[tuple[str, bool], ...]
-    excluded_set: tuple[int, ...]
-    bound: int
-    statement: str
-    assumption_only: tuple[str, ...]
-    notes: tuple[str, ...]
+class CertificationReport(namedtuple(
+        "CertificationReport",
+        "field_poly weight delta delta_primes bounds mw_ok mw_witness irr dihedral "
+        "non_induced excluded_set bound statement assumption_only notes")):
+    """dihedral holds one CriterionReport per quadratic extension, non_induced
+    (label, ok) pairs, and mw_witness a subset mask or None."""
+
+    __slots__ = ()
 
     @property
     def worst_status(self) -> str:

@@ -9,8 +9,9 @@ polynomial helpers work on dense lists, low degree first, over any
 coefficient ring: nfield multiplies and reduces field elements with them,
 gl2img builds its F_q tables, modform its complex local factors, and
 lattice tests its integer root candidates.  _as_int reads caller data
-as integers.  The module imports nothing from hmfcert, so each of those
-modules can use it without loading another.
+as integers, and _Frozen makes the fields of a plain record read-only.
+The module imports nothing from hmfcert, so each of those modules can use
+it without loading another.
 """
 
 from __future__ import annotations
@@ -20,9 +21,28 @@ from fractions import Fraction
 
 def _as_int(x, what: str) -> int:
     """x as an int, if it is an int (not a bool) or a Fraction with denominator 1."""
+    if x.__class__ is int:  # the common case, which the certifier meets per subset
+        return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and int(x) == x:
         return int(x)
     raise ValueError(f"{what} must be an integer, not {x!r}")
+
+
+class _Frozen:
+    """Base of the plain (non-tuple) records whose fields __init__ sets once
+    with object.__setattr__: assigning or deleting an attribute raises.
+
+    The fields live in the instance __dict__, not in __slots__, so that copy
+    and pickle restore them without calling __setattr__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def bareiss_det(m) -> int:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .exact import _poly_mul, _poly_rem
 from .primes import factor, is_prime
@@ -241,17 +240,30 @@ def proj_canonical(F: Fq, m):
     raise ValueError("zero matrix")
 
 
-@dataclass
 class FqMatrixGroup:
-    field: Fq
-    generators: tuple[tuple[int, int, int, int], ...]
+    """The subgroup of GL2(F_q) generated by invertible 2x2 matrices.
 
-    def __post_init__(self):
-        self.generators = tuple(tuple(m) for m in self.generators)
+    Equal when the field and the generators are; mutable, so unhashable.
+    """
+
+    __slots__ = ("field", "generators", "_closure")
+    __hash__ = None
+
+    def __init__(self, field: Fq, generators):
+        self.field = field
+        self.generators = tuple(tuple(m) for m in generators)
         for m in self.generators:
-            if mat_det2(self.field, m) == 0:
+            if mat_det2(field, m) == 0:
                 raise ValueError(f"generator {m} is singular")
         self._closure = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.generators) == (other.field, other.generators)
+
+    def __repr__(self):
+        return f"FqMatrixGroup(field={self.field!r}, generators={self.generators!r})"
 
     def closure(self, cap: int = CLOSURE_CAP) -> frozenset:
         """Full subgroup by breadth-first closure, cached; cap holds on every call."""
@@ -285,12 +297,13 @@ class FqMatrixGroup:
 # classification
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str      # Reducible | Dihedral | A4 | S4 | A5 | PSL2 | PGL2 | LargeIntermediate
-    parameter: int | None = None  # n for Dihedral, q' for PSL2/PGL2
-    projective_order: int | None = None
-    trace_field_size: int | None = None
+class Classification(namedtuple("Classification",
+                                "kind parameter projective_order trace_field_size",
+                                defaults=(None, None, None))):
+    """kind is Reducible, Dihedral, A4, S4, A5, PSL2, PGL2 or LargeIntermediate;
+    parameter is n for Dihedral and q' for PSL2 and PGL2."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "Dihedral":
@@ -665,17 +678,15 @@ def recover_from_subset_sums(S, d: int) -> tuple[int, tuple[int, ...]]:
 # tame characters
 
 
-@dataclass(frozen=True)
-class TameChar:
+class TameChar(namedtuple("TameChar", "h p e")):
     """Character of tame inertia of level h: exponent digits base p."""
 
-    h: int
-    p: int
-    e: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.e) != self.h:
+    def __new__(cls, h: int, p: int, e: tuple[int, ...]):
+        if len(e) != h:
             raise ValueError("exponent vector length must equal the level")
+        return super().__new__(cls, h, p, e)
 
     @property
     def exponent(self) -> int:

@@ -17,10 +17,10 @@ module shares for norms and inverses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _charpoly, _poly_eval, _solve, bareiss_det
+from .exact import _as_int, _charpoly, _poly_eval, _solve, bareiss_det
 
 
 class DegenerateSplit(ValueError):
@@ -282,11 +282,6 @@ def left_kernel(m) -> IntMatrix:
     return _as_matrix(u[rank:])
 
 
-def in_row_span(vec, basis) -> bool:
-    """Integer membership of vec in the lattice spanned by basis rows."""
-    return _in_hnf_span(vec, hnf(basis))
-
-
 def _in_hnf_span(vec, h) -> bool:
     """Integer membership of vec in the row span of the Hermite form h."""
     v = list(map(int, vec))
@@ -301,42 +296,40 @@ def _in_hnf_span(vec, h) -> bool:
     return all(x == 0 for x in v)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "basis ambient_dim")):
     """Full set of integer row vectors spanning L inside Q^n."""
 
-    basis: IntMatrix
-    ambient_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", _as_matrix(self.basis))
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+    def __new__(cls, basis, ambient_dim: int):
+        basis = tuple(tuple(_as_int(x, "lattice entry") for x in row) for row in basis)
+        for row in basis:
+            if len(row) != ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
-        gram = mat_mul(self.basis, _transpose(self.basis, self.ambient_dim))
+        gram = mat_mul(basis, _transpose(basis, ambient_dim))
         if not bareiss_det(gram):
             raise ValueError("basis rows are linearly dependent")
+        return super().__new__(cls, basis, ambient_dim)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(namedtuple("Split", "v1_basis v2_basis")):
     """Complementary rational subspaces V1, V2 of Q^n, given by row bases."""
 
-    v1_basis: tuple[tuple[Fraction, ...], ...]
-    v2_basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("v1_basis", "v2_basis"):
-            object.__setattr__(self, name, tuple(tuple(Fraction(x) for x in r)
-                                                 for r in getattr(self, name)))
-        if len(self.v1_basis) + len(self.v2_basis) != self.ambient_dim:
+    def __new__(cls, v1_basis, v2_basis):
+        v1, v2 = (tuple(tuple(Fraction(x) for x in r) for r in basis)
+                  for basis in (v1_basis, v2_basis))
+        self = super().__new__(cls, v1, v2)
+        if self.dim1 + self.dim2 != self.ambient_dim:
             raise DegenerateSplit("dim V1 + dim V2 != ambient dimension")
         if det_rational(self.v1_basis + self.v2_basis) == 0:
             raise DegenerateSplit("V1 and V2 do not span complementary subspaces")
+        return self
 
     @property
     def dim1(self) -> int:
@@ -368,27 +361,31 @@ def _scale_to_int(rows) -> tuple[IntMatrix, int]:
     return out, denom
 
 
-@dataclass(frozen=True)
-class SplitPieces:
+class SplitPieces(namedtuple(
+        "SplitPieces",
+        "l1 l1_denom l2 l2_denom l1_proj l1_proj_denom l2_proj l2_proj_denom basis basis_denom")):
     """The four lattices of a split: L_j = L ∩ V_j, L^j = projection to V_j.
 
     Each piece is stored as an integer row basis in V_j-coordinates together
     with a common denominator: lattice = {rows} / denom in coordinates
     relative to the V_j basis.  Every piece is in Hermite form, and so is
     basis / basis_denom, the lattice L itself in (V1, V2)-coordinates, which
-    the pieces determine and which equality therefore ignores.
+    the pieces determine and which equality and hashing therefore ignore.
     """
 
-    l1: IntMatrix
-    l1_denom: int
-    l2: IntMatrix
-    l2_denom: int
-    l1_proj: IntMatrix
-    l1_proj_denom: int
-    l2_proj: IntMatrix
-    l2_proj_denom: int
-    basis: IntMatrix = field(compare=False)
-    basis_denom: int = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:8] == other[:8]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:8])
 
 
 def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
@@ -468,13 +465,13 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CongruenceModule:
-    """p-parts of the invariant factors of the three fused quotients."""
+class CongruenceModule(namedtuple("CongruenceModule", "p invariant_factors three_way")):
+    """p-parts of the invariant factors of the three fused quotients.
 
-    p: int
-    invariant_factors: tuple[int, ...]
-    three_way: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    three_way holds the p-parts of L^1/L_1, L/(L_1 ⊕ L_2) and L^2/L_2.
+    """
+
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -518,11 +515,10 @@ def congruence_module(lat: Lattice, s: Split, p: int) -> CongruenceModule:
     return congruence_modules(lat, s, (p,))[0]
 
 
-@dataclass(frozen=True)
-class DiscPairing:
-    determinant: Fraction
-    pair_product: Fraction
-    pairs: tuple[tuple[int, int, Fraction, Fraction], ...]
+class DiscPairing(namedtuple("DiscPairing", "determinant pair_product pairs")):
+    """pairs holds (J, J^c, g[J][J^c], g[J^c][J]) for each J containing index 0."""
+
+    __slots__ = ()
 
 
 def disc_pairing(gram, d: int) -> DiscPairing:
@@ -600,22 +596,18 @@ def _restrict(op, basis):
     return tuple(tuple(Fraction(x, d * o_den) for x in row) for row in c)
 
 
-@dataclass(frozen=True)
-class Eigensystem:
+class Eigensystem(namedtuple("Eigensystem", "values dim")):
     """Integer eigenvalue vector (one entry per operator) on a subspace."""
 
-    values: tuple[int, ...]
-    dim: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CongruenceSearch:
-    side1: tuple[Eigensystem, ...]
-    side2: tuple[Eigensystem, ...]
-    extension_needed1: int  # total dimension not split by integer eigenvalues
-    extension_needed2: int
-    pairs: tuple[tuple[Eigensystem, Eigensystem], ...]
-    module: CongruenceModule
+class CongruenceSearch(namedtuple(
+        "CongruenceSearch", "side1 side2 extension_needed1 extension_needed2 pairs module")):
+    """The eigensystems of each side, the dimension of each side that integer
+    eigenvalues do not split, and the pairs congruent mod module.p."""
+
+    __slots__ = ()
 
 
 def _split_eigensystems(ops_restricted, dim):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import _poly_eval, _poly_mul
@@ -40,13 +40,10 @@ class MissingCoefficient(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class EulerParams:
-    alpha: complex
-    beta: complex
-    psi0: complex
-    q: int
-    k0: int
+class EulerParams(namedtuple("EulerParams", "alpha beta psi0 q k0")):
+    """Eigenvalues alpha, beta at a place of norm q, with alpha * beta = psi0 * q^(k0-1)."""
+
+    __slots__ = ()
 
 
 def ramanujan_sample(q: int, k0: int, theta: float, psi_angle: float = 0.0) -> EulerParams:
@@ -68,10 +65,10 @@ def adjoint_local_factor(e: EulerParams) -> list[complex]:
     return poly
 
 
-@dataclass(frozen=True)
-class DLocalFactor:
-    numerator: list[complex]    # in X = Nm(v)^-s
-    denominator: list[complex]
+class DLocalFactor(namedtuple("DLocalFactor", "numerator denominator")):
+    """Coefficient lists of complex numbers in X = Nm(v)^-s, low degree first."""
+
+    __slots__ = ()
 
 
 def d_local_factor(e: EulerParams) -> DLocalFactor:
@@ -204,18 +201,15 @@ def gamma_adjoint(s: complex, w: Weight, convention: str = "AsPrinted") -> compl
     return out
 
 
-@dataclass(frozen=True)
-class AdjointInputs:
-    abs_k: int
-    delta: int
-    h_f: int
-    petersson: Fraction | float
-    w_f: complex | None = None
-    ratio: Fraction | None = None
+class AdjointInputs(namedtuple("AdjointInputs", "abs_k delta h_f petersson w_f ratio")):
+    """petersson is a Fraction or a float; w_f a complex and ratio a Fraction, or None."""
 
-    def __post_init__(self):
-        if self.delta < 1 or self.h_f < 1:
+    __slots__ = ()
+
+    def __new__(cls, abs_k: int, delta: int, h_f: int, petersson, w_f=None, ratio=None):
+        if delta < 1 or h_f < 1:
             raise ValueError("delta and h_f must be >= 1")
+        return super().__new__(cls, abs_k, delta, h_f, petersson, w_f, ratio)
 
 
 def lambda_star(inputs: AdjointInputs):
@@ -318,12 +312,10 @@ def residue_cross_check(w: Weight) -> dict:
 # q-expansion coefficients over a real quadratic field
 
 
-@dataclass(frozen=True)
-class ScaledValue:
+class ScaledValue(namedtuple("ScaledValue", "factor base")):
     """A stored coefficient times an exact unit-power factor in the field."""
 
-    factor: FieldElem
-    base: object
+    __slots__ = ()
 
     @property
     def is_rational(self) -> bool:

@@ -70,11 +70,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import _as_int, _charpoly, _poly_eval, _poly_mul, _poly_rem, _solve, bareiss_det
+from .exact import (_Frozen, _as_int, _charpoly, _poly_eval, _poly_mul, _poly_rem, _solve,
+                    bareiss_det)
 
 
 class NotIrreducible(ValueError):
@@ -298,16 +299,15 @@ class DyadicInterval:
         return n if n << exp <= hi_m else None
 
 
-@dataclass(frozen=True)
-class CertifiedInteger:
+class CertifiedInteger(namedtuple("CertifiedInteger", "value final_width")):
     """Integer pinned by an interval of width < 1/2 around it."""
 
-    value: int
-    final_width: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.final_width < Fraction(1, 2):
+    def __new__(cls, value: int, final_width: Fraction):
+        if not final_width < Fraction(1, 2):
             raise ValueError("certifying interval is too wide")
+        return super().__new__(cls, value, final_width)
 
 
 class Zero:
@@ -474,16 +474,34 @@ def _cubic_discriminant(p) -> int:
             - 4 * c**3 - 27 * d0 * d0)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Totally real number field Q[x]/(min_poly) with ordered real embeddings."""
+class Field(_Frozen):
+    """Totally real number field Q[x]/(min_poly) with ordered real embeddings.
 
-    min_poly: tuple[int, ...]  # low degree first, monic
-    embeddings: tuple[tuple[Fraction, Fraction], ...]
-    galois: tuple[tuple[int, ...], ...] | None
-    degree: int
-    _root_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    _unit_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    min_poly is monic, low degree first; embeddings are isolating intervals
+    (lo, hi], one per real root.  Equality and hashing ignore the two caches.
+    """
+
+    def __init__(self, min_poly: tuple[int, ...],
+                 embeddings: tuple[tuple[Fraction, Fraction], ...],
+                 galois: tuple[tuple[int, ...], ...] | None, degree: int,
+                 _root_cache: dict | None = None, _unit_cache: dict | None = None):
+        object.__setattr__(self, "min_poly", min_poly)
+        object.__setattr__(self, "embeddings", embeddings)
+        object.__setattr__(self, "galois", galois)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_root_cache", {} if _root_cache is None else _root_cache)
+        object.__setattr__(self, "_unit_cache", {} if _unit_cache is None else _unit_cache)
+
+    def _key(self):
+        return self.min_poly, self.embeddings, self.galois, self.degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def element(self, coeffs) -> "FieldElem":
         coeffs = [Fraction(c) for c in coeffs]
@@ -525,13 +543,15 @@ class Field:
         return root[:3]
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    field: Field
-    coeffs: tuple[Fraction, ...]
+class FieldElem(_Frozen):
+    """An element of field by its rational coordinates in the power basis.
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    _unit_memo, a cached_property, is kept in the instance __dict__.
+    """
+
+    def __init__(self, field: Field, coeffs):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -646,7 +666,7 @@ def make_field(coeffs, galois=None) -> Field:
     if d > 1 and _has_small_factor(coeffs, intervals):
         raise NotIrreducible(f"{coeffs} has a rational factor")
     if galois is not None:
-        galois = tuple(tuple(int(i) for i in perm) for perm in galois)
+        galois = tuple(tuple(_as_int(i, "galois entry") for i in perm) for perm in galois)
         _validate_galois(galois, d)
         if d == 3 and len(galois) == 3 and not _cubic_is_cyclic(coeffs):
             raise ValueError(
@@ -915,7 +935,7 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     or raises Indeterminate when no integer is pinned at the cap.
     """
     fld = fld or eps.field
-    e = tuple(int(x) for x in e)
+    e = tuple(_as_int(x, "exponent") for x in e)
     d = fld.degree
     if len(e) != d:
         raise ValueError("exponent vector length must equal the degree")
@@ -943,7 +963,8 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
     unit = eps._unit_memo
     if not unit.is_unit:
         raise ValueError("requires a unit (an algebraic integer of norm +-1)")
-    exps = [e_on[t] if t in subset else e_off[t] for t in range(fld.degree)]
+    exps = [_as_int(e_on[t] if t in subset else e_off[t], "exponent")
+            for t in range(fld.degree)]
     return _symmetrized(unit, exps, subset, fld, group, precision_cap)
 
 

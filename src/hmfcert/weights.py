@@ -8,9 +8,10 @@ printed as sorted index lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from .exact import _as_int
 from .primes import is_prime, next_prime
 
 
@@ -48,13 +49,8 @@ def subset_label(mask: int) -> str:
     return "{" + ",".join(str(i) for i in mask_indices(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class Weight:
-    k: tuple[int, ...]
-    k0: int
-    n: tuple[int, ...]
-    m: tuple[int, ...]
-    d: int
+class Weight(namedtuple("Weight", "k k0 n m d")):
+    __slots__ = ()
 
     @property
     def is_parallel(self) -> bool:
@@ -70,7 +66,7 @@ class Weight:
 
 
 def make_weight(k) -> Weight:
-    k = tuple(int(x) for x in k)
+    k = tuple(_as_int(x, "weight entry") for x in k)
     if not k:
         raise ValueError("weight vector must be nonempty")
     if any(kt < 2 for kt in k):
@@ -92,10 +88,10 @@ def p_of(w: Weight, J) -> tuple[tuple[int, ...], int]:
     return vec, sum(vec)
 
 
-@dataclass(frozen=True)
-class HodgeMultiset:
-    entries: tuple[int, ...]  # sorted, with multiplicity, one per subset
-    motivic_weight: int
+class HodgeMultiset(namedtuple("HodgeMultiset", "entries motivic_weight")):
+    """entries: sorted, with multiplicity, one per subset."""
+
+    __slots__ = ()
 
     @property
     def min(self) -> int:
@@ -112,10 +108,10 @@ def hodge_multiset(w: Weight) -> HodgeMultiset:
     return HodgeMultiset(entries=tuple(vals), motivic_weight=w.motivic_weight)
 
 
-@dataclass(frozen=True)
-class MwResult:
-    ok: bool
-    witness: int | None  # bitmask of a subset J achieving the middle weight
+class MwResult(namedtuple("MwResult", "ok witness")):
+    """witness: bitmask of a subset J achieving the middle weight, or None."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -137,23 +133,24 @@ def mw_check(w: Weight) -> MwResult:
     return MwResult(True, None)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(namedtuple("BoundsReport", (
+    "k0",
+    "sum_k_minus_1",
+    "min_prime_ii",             # p - 1 > sum(k-1)
+    "min_prime_exceptional",    # d(p - 1) > 5 sum(k-1)
+    "min_prime_combined",       # p - 1 > max(1, 5/d) sum(k-1)
+    "min_prime_quadratic_alt",  # d = 2 alternative: p - 1 > 4(k0 - m1 - 1); else None
+    "special_double",           # frozenset: primes among {2k_t - 1}
+    "special_cross",            # frozenset: primes among {k_t + k_t' - 1, t != t'}
+    "small_excluded",           # frozenset: primes p with p | 6 or p <= k0
+))):
     """Smallest admissible primes for each strict bound, plus special sets.
 
     Each min_prime_* field is inclusive: that prime and all larger ones
     satisfy the bound.  The special sets are already filtered to primes.
     """
 
-    k0: int
-    sum_k_minus_1: int
-    min_prime_ii: int            # p - 1 > sum(k-1)
-    min_prime_exceptional: int   # d(p - 1) > 5 sum(k-1)
-    min_prime_combined: int      # p - 1 > max(1, 5/d) sum(k-1)
-    min_prime_quadratic_alt: int | None  # d = 2 alternative: p - 1 > 4(k0 - m1 - 1)
-    special_double: frozenset[int]   # primes among {2k_t - 1}
-    special_cross: frozenset[int]    # primes among {k_t + k_t' - 1, t != t'}
-    small_excluded: frozenset[int]   # primes p with p | 6 or p <= k0
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -218,7 +215,7 @@ def non_induced_check(w: Weight, fibers) -> bool:
     The blocks are the fibers of the embedding restriction to a candidate
     strict subfield; they must partition {0..d-1} into equal sizes > 1.
     """
-    blocks = [tuple(sorted(int(i) for i in b)) for b in fibers]
+    blocks = [tuple(sorted(_as_int(i, "fiber block entry") for i in b)) for b in fibers]
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(w.d)):
         raise InvalidPartition("blocks do not partition the index set")

@@ -3,8 +3,9 @@
 localized_module_nonzero reads the congruence module's generalized
 eigenspaces over F_p with its own small F_p linear algebra, split_indices
 gives the indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L] from determinants,
-and three_way_by_solve computes the three congruence quotients with a
-Bareiss solve and determinant each, the middle one in ambient coordinates.
+three_way_by_solve computes the three congruence quotients with a
+Bareiss solve and determinant each, the middle one in ambient coordinates,
+and in_row_span tests lattice membership from a fresh Hermite form.
 """
 
 import math
@@ -13,16 +14,23 @@ from hmfcert.lattice import (
     Lattice,
     Split,
     _hnf_mod,
+    _in_hnf_span,
     _p_part,
     _restrict,
     _scale_to_int,
     _solve,
     _transpose,
     bareiss_det,
+    hnf,
     mat_mul,
     snf,
     split_lattice,
 )
+
+
+def in_row_span(vec, basis) -> bool:
+    """Integer membership of vec in the lattice spanned by basis rows."""
+    return _in_hnf_span(vec, hnf(basis))
 
 
 def _ambient_rows(s: Split, pieces):

@@ -216,6 +216,27 @@ class TestMalformedConfig:
         cfg = dict(self.Q5, field=dict(self.Q5["field"], **field), level=level)
         assert self._run(tmp_path, capsys, cfg) == (1, f"validation error: {message}\n")
 
+    @pytest.mark.parametrize("block,entries,message", [
+        ("weight", {"k": [4.7, 2]}, "weight entry must be an integer, not 4.7"),
+        ("level", {"Delta": 20.9}, "level Delta must be an integer, not 20.9"),
+        ("field", {"galois": [[0, 1], [1.9, 0]]}, "galois entry must be an integer, not 1.9"),
+        ("output", {"precision_cap": 512.5},
+         "output precision_cap must be an integer, not 512.5"),
+        ("criteria", {"fiber_partitions": [[[0, 1.0]]]},
+         "fiber_partitions entry must be an integer, not 1.0"),
+        ("field", {"units": [[[3, 2.0], [1, 2]]]},
+         "rational denominator must be an integer, not 2.0"),
+        ("field", {"units": [[[1.5, 1], [1, 2]]]},
+         "rational numerator must be an integer, not 1.5"),
+    ])
+    def test_exclude_primes_non_integer_entry(self, tmp_path, capsys, block, entries, message):
+        cfg = dict(self.Q5, **{block: dict(self.Q5.get(block, {}), **entries)})
+        assert self._run(tmp_path, capsys, cfg) == (1, f"validation error: {message}\n")
+
+    def test_exclude_primes_boolean_coordinate(self, tmp_path, capsys):
+        cfg = dict(self.Q5, field=dict(self.Q5["field"], units=[[True, False]]))
+        assert self._run(tmp_path, capsys, cfg) == (1, "error: cannot parse rational from True\n")
+
     def test_congruence_module_split_bounds_accepted(self, tmp_path, capsys):
         for split, factors in ((1, "[5]"), (2, "[5]")):
             path = tmp_path / "cm.json"

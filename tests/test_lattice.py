@@ -25,7 +25,6 @@ from hmfcert.lattice import (
     find_congruences,
     hnf,
     hnf_with_transform,
-    in_row_span,
     left_kernel,
     snf,
     split_lattice,
@@ -46,6 +45,7 @@ from hmfcert.lattice import (
 )
 
 from lattice_oracles import (
+    in_row_span,
     localized_module_nonzero,
     relation_matrix_by_solve,
     split_indices,
@@ -405,6 +405,11 @@ class TestSplitLattice:
         with pytest.raises(ValueError, match="basis rows are linearly dependent"):
             Lattice(((1, 0), (0, 1), (1, 1)), 2)
         assert Lattice(((1, 2, 3), (0, 0, 1)), 3).rank == 2
+
+    def test_non_integer_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"^lattice entry must be an integer, not 1\.9$"):
+            Lattice(((1.9, 1), (0, 5)), 2)
+        assert Lattice(((Fraction(2), 1), (0, 5)), 2).basis == ((2, 1), (0, 5))
 
     def test_rejects_rank_deficient(self):
         lat = Lattice(((1, 1, 0),), 3)

@@ -2,10 +2,13 @@
 
 hmfcert.cli registers every module of the package when it is imported and
 runs a module's body on first use, so each command pays start-up only for
-the modules it calls.  Each check runs in a fresh interpreter, since the
-test process has long since loaded everything.
+the modules it calls.  Nor does any command load dataclasses, and with it
+inspect, ast, dis and tokenize: the package's records are namedtuples and
+plain classes.  Each check runs in a fresh interpreter, since the test
+process has long since loaded everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,10 +20,14 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
-# Runs ``python -m hmfcert.cli ARGV`` through runpy, then prints its exit code
-# and the hmfcert modules whose bodies executed (a module that is registered
-# but never used keeps its lazy module type).
-WHICH = textwrap.dedent("""
+# Standard-library modules that no command may load: dataclasses imports
+# inspect, which imports ast, dis and tokenize.
+HEAVY = ("dataclasses", "inspect")
+
+# Runs ``python -m hmfcert.cli ARGV`` through runpy, then prints its exit code,
+# the hmfcert modules whose bodies executed (a module that is registered but
+# never used keeps its lazy module type) and the HEAVY modules loaded.
+WHICH = textwrap.dedent(f"""
     import contextlib, io, json, runpy, sys, types
     sys.argv = ["hmfcert", *sys.argv[1:]]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -30,7 +37,7 @@ WHICH = textwrap.dedent("""
             code = exc.code
     ran = sorted(name.split(".", 1)[1] for name, m in sys.modules.items()
                  if name.startswith("hmfcert.") and type(m) is types.ModuleType)
-    print(json.dumps([code, ran]))
+    print(json.dumps([code, ran, [m for m in {HEAVY!r} if m in sys.modules]]))
 """)
 
 
@@ -53,8 +60,8 @@ def configs(tmp_path_factory):
 
 
 COMMANDS = [
-    (["weights", "--k", "4,2"], ["primes", "weights"]),
-    (["bgg-table", "--k", "4,2,2"], ["bgg", "primes", "weights"]),
+    (["weights", "--k", "4,2"], ["exact", "primes", "weights"]),
+    (["bgg-table", "--k", "4,2,2"], ["bgg", "exact", "primes", "weights"]),
     (["recover-weights", "--multiset", "1,2,4,5", "--d", "2"], ["exact", "gl2img", "primes"]),
     (["classify-image", "--p", "7", "--gens", "1,1,0,1;1,0,1,1", "--li"],
      ["exact", "gl2img", "primes"]),
@@ -71,7 +78,7 @@ def test_command_runs_only_its_modules(configs, argv, expected):
     argv = [a.format(**configs) for a in argv]
     out = _python("-c", WHICH, *argv)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [0, expected]
+    assert json.loads(out.stdout) == [0, expected, []]
 
 
 def test_import_registers_every_module_and_the_tracer_installs():
@@ -105,7 +112,7 @@ def test_validation_error_runs_only_its_modules():
     # name the exception classes it catches
     out = _python("-c", WHICH, "weights", "--k", "3,4")
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [1, ["primes", "weights"]]
+    assert json.loads(out.stdout) == [1, ["exact", "primes", "weights"], []]
 
 
 def test_classify_image_default_cap():
@@ -115,3 +122,25 @@ def test_classify_image_default_cap():
     assert default.returncode == explicit.returncode == 0
     assert default.stdout == explicit.stdout != ""
     assert default.stderr == explicit.stderr == ""
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # site may preload typing (a .pth file can import it), so sys.modules
+    # cannot show that the package does not; read the imports instead
+    pkg = os.path.join(SRC, "hmfcert")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [(name, m) for m in modules
+                      if m.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []

@@ -88,6 +88,10 @@ class TestMakeField:
     def test_integral_fraction_coefficients_accepted(self):
         assert make_field([Fraction(-5), 0, Fraction(1)]).min_poly == (-5, 0, 1)
 
+    def test_non_integer_galois_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"^galois entry must be an integer, not 1\.9$"):
+            make_field([-5, 0, 1], galois=[[0, 1], [1.9, 0]])
+
     @pytest.mark.parametrize("coeffs, exc, message", [
         ([1, 0, 2, 0, 1], NotIrreducible, "repeated factor"),  # (x^2 + 1)^2
         ([4, 0, -4, 0, 1], NotIrreducible, "repeated factor"),  # (x^2 - 2)^2
@@ -318,6 +322,13 @@ class TestSymmetrizedNorm:
     def test_requires_unit(self, q5):
         with pytest.raises(ValueError):
             symmetrized_norm(q5.gen, (1, 0))
+
+    def test_non_integer_exponent_rejected(self, eps0):
+        with pytest.raises(ValueError, match=r"^exponent must be an integer, not 4\.9$"):
+            symmetrized_norm(eps0, (4.9, 2))
+        with pytest.raises(ValueError, match=r"^exponent must be an integer, not 2\.5$"):
+            symmetrized_difference_norm(eps0, (4, 2), (1, 2.5), {0})
+        assert symmetrized_norm(eps0, (Fraction(3), 1)).value == -5
 
     def test_rational_unit(self, q5):
         minus_one = q5.element([-1])

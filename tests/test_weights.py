@@ -48,6 +48,11 @@ class TestMakeWeight:
         with pytest.raises(WeightTooSmall):
             make_weight([2, 0])
 
+    @pytest.mark.parametrize("k", [[4.9, 2], [4, 2.0], [True, 2]])
+    def test_non_integer_entry_rejected(self, k):
+        with pytest.raises(ValueError, match="^weight entry must be an integer, not "):
+            make_weight(k)
+
     def test_componentwise_identity(self):
         for k in [(4, 2), (5, 3, 3), (8, 2, 6, 4)]:
             w = make_weight(k)
@@ -167,6 +172,10 @@ class TestNonInduced:
             non_induced_check(w, [{0}, {1}, {2}, {3}])
         with pytest.raises(InvalidPartition):
             non_induced_check(w, [{0, 1, 2}, {3}])
+
+    def test_non_integer_block_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"^fiber block entry must be an integer, not 1\.5$"):
+            non_induced_check(make_weight([4, 2]), [[0, 1.5]])
 
 
 class TestSubsetHelpers:
