@@ -12,7 +12,7 @@ import itertools
 import json
 from collections import Counter, namedtuple
 
-from .exact import _Frozen
+from .exact import _Frozen, _as_int
 from .weights import Weight, mask_indices, p_of, subset_label, subset_mask
 
 
@@ -43,7 +43,7 @@ class TWeight(_Frozen):
 
 def kostant_weights(n, i: int) -> list[tuple[int, TWeight]]:
     """(J, weight) for each |J| = i: coordinates -n_t-2 on J, n_t off J."""
-    n = tuple(int(x) for x in n)
+    n = tuple(_as_int(x, "n entry") for x in n)
     d = len(n)
     if not 0 <= i <= d:
         raise ValueError("degree out of range")
@@ -61,7 +61,7 @@ def omega_weights(n, i: int) -> Counter:
     Entries are nu - 2*1_J with nu a weight of the highest-weight-n module
     (coordinates n_t - 2 j_t, 0 <= j_t <= n_t) and |J| = i.
     """
-    n = tuple(int(x) for x in n)
+    n = tuple(_as_int(x, "n entry") for x in n)
     d = len(n)
     if not 0 <= i <= d:
         raise ValueError("degree out of range")
@@ -79,8 +79,8 @@ def omega_weights(n, i: int) -> Counter:
 
 def central_char_equiv(mu, n, p: int) -> list[int]:
     """Subsets J with mu = (sign-flipped n+t) - t coordinatewise mod p."""
-    mu = tuple(int(x) for x in mu)
-    n = tuple(int(x) for x in n)
+    mu = tuple(_as_int(x, "mu entry") for x in mu)
+    n = tuple(_as_int(x, "n entry") for x in n)
     d = len(n)
     out = []
     for mask in range(1 << d):
@@ -92,7 +92,7 @@ def central_char_equiv(mu, n, p: int) -> list[int]:
 
 def mod_p_guard(n, p: int, d: int | None = None) -> bool:
     """The decomposition hypothesis p - 1 > |n| + d, reported not assumed."""
-    n = tuple(int(x) for x in n)
+    n = tuple(_as_int(x, "n entry") for x in n)
     d = d if d is not None else len(n)
     return p - 1 > sum(n) + d
 

@@ -207,13 +207,6 @@ def _cmd_exclude_primes(args) -> int:
     return 0 if report.worst_status == "certified" else 2
 
 
-def _split_entry(x, key: str) -> Fraction:
-    try:
-        return Fraction(str(x))
-    except ZeroDivisionError:
-        raise UsageError(f"zero denominator in split {key} entry {x!r}") from None
-
-
 def _rows(x, n: int, where: str) -> list:
     """x, if it is a list of rows that are lists of n entries."""
     if not (isinstance(x, list) and all(isinstance(r, list) and len(r) == n for r in x)):
@@ -239,7 +232,7 @@ def _cmd_congruence_module(args) -> int:
     elif isinstance(sp, dict):
         _check_keys(sp, {"v1", "v2"}, "congruence-module split", required={"v1", "v2"})
         split = lattice.Split(*(
-            tuple(tuple(_split_entry(x, key) for x in row)
+            tuple(tuple(_fraction(x) for x in row)
                   for row in _rows(sp[key], n, f"congruence-module split {key}"))
             for key in ("v1", "v2")))
     else:

@@ -87,11 +87,6 @@ class CriterionReport(namedtuple("CriterionReport", "criterion_id per_subset agg
     def has_degenerate(self) -> bool:
         return any(s.kind == "degenerate" for _, s in self.per_subset)
 
-    @property
-    def fully_certified(self) -> bool:
-        return all(s.kind == "excludes" and not s.incomplete
-                   for _, s in self.per_subset)
-
     def to_json_dict(self):
         return {
             "criterion": self.criterion_id,
@@ -146,6 +141,7 @@ class CertificationInputs(namedtuple(
 
     delta is the norm of the level times the different, caller-supplied;
     fiber_partitions holds partitions of the embedding indices into blocks.
+    Each unit, delta and unit pair entry must be an element of field.
     """
 
     __slots__ = ()
@@ -161,6 +157,13 @@ class CertificationInputs(namedtuple(
         if precision_cap < _START_BITS:
             raise ValueError(f"precision cap {precision_cap} is below {_START_BITS}, "
                              "the first precision level, so nothing could be certified")
+        elements = [("unit", u) for u in units]
+        for kd in quadratic_extensions:
+            elements.append((f"{kd.label}: delta", kd.delta))
+            elements += [(f"{kd.label}: unit entry", x) for pair in kd.units for x in pair]
+        for what, x in elements:
+            if x.field != field:
+                raise ValueError(f"{what} {x} is an element of {x.field}, not of {field}")
         for u in units:
             if abs(norm(u)) != 1:
                 raise ValueError(f"unit {u} does not have norm +-1")
@@ -211,7 +214,6 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
     the result is labeled partial.
     """
     w = inputs.weight
-    fld = inputs.field
     notes = [UNIT_CONGRUENCE_NOTE]
     masks = list(range(1 << w.d))
     if w.is_parallel:
@@ -228,7 +230,7 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
                               if inputs.units else "no units supplied")
         for i, eps in enumerate(inputs.units):
             try:
-                v1 = symmetrized_norm(eps, pj, fld, inputs.precision_cap)
+                v1 = symmetrized_norm(eps, pj, inputs.precision_cap)
             except Indeterminate as exc:
                 status = SubsetStatus(kind="indeterminate",
                                       note=f"escalation cap {exc.max_bits} bits")
@@ -237,7 +239,7 @@ def irr_excluded_primes(inputs: CertificationInputs) -> CriterionReport:
                 continue
             try:
                 v2 = symmetrized_difference_norm(
-                    eps, e_on, e_off, mask_indices(mask), fld, inputs.precision_cap
+                    eps, e_on, e_off, mask_indices(mask), inputs.precision_cap
                 )
             except Indeterminate as exc:
                 status = SubsetStatus(kind="indeterminate",

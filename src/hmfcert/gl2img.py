@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .exact import _poly_mul, _poly_rem
+from .exact import _as_int, _poly_mul, _poly_rem
 from .primes import factor, is_prime
 
 Q_CAP = 121
@@ -66,7 +66,7 @@ class Fq:
         if r == 1:
             self.modulus = (0, 1)
         elif modulus is not None:
-            self.modulus = tuple(int(c) % p for c in modulus)
+            self.modulus = tuple(_as_int(c, "modulus coefficient") % p for c in modulus)
             if len(self.modulus) != r + 1 or self.modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree r")
             if not _poly_is_irreducible(list(self.modulus), p):
@@ -550,7 +550,7 @@ def tensor_induce(mats, perm, ring=ZZ_RING):
     d = len(mats)
     if d > TENSOR_DEGREE_CAP:
         raise SizeOverflow(f"degree {d} exceeds cap {TENSOR_DEGREE_CAP}")
-    perm = tuple(int(x) for x in perm)
+    perm = tuple(_as_int(x, "perm entry") for x in perm)
     if sorted(perm) != list(range(d)):
         raise ValueError("perm must be a permutation of the slots")
     size = 1 << d
@@ -620,7 +620,7 @@ def recover_from_subset_sums(S, d: int) -> tuple[int, tuple[int, ...]]:
     for d integers 0 <= 2 a_t < a.  Peels the shifted multiset as subset
     sums of the d positive gaps a - 2 a_t.
     """
-    S = sorted(int(x) for x in S)
+    S = sorted(_as_int(x, "subset sum") for x in S)
     if len(S) != 1 << d:
         raise Inconsistent(f"expected {1 << d} values, got {len(S)}")
     total = S[0] + S[-1]

@@ -21,6 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import _as_int, _charpoly, _poly_eval, _solve, bareiss_det
+from .primes import is_prime
 
 
 class DegenerateSplit(ValueError):
@@ -455,6 +456,13 @@ def _quotient_invariants(sub: IntMatrix, sub_den: int, amb: IntMatrix, amb_den: 
     return snf(_hnf_mod(x, math.prod(x[i][i] for i in range(len(x)))))
 
 
+def _as_prime(p) -> int:
+    p = _as_int(p, "p")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return p
+
+
 def _p_part(n: int, p: int) -> int:
     if n == 0:
         return 0
@@ -487,7 +495,9 @@ def congruence_modules(lat: Lattice, s: Split, primes) -> tuple[CongruenceModule
 
     Computes the three quotients L^1/L_1, L/(L_1 ⊕ L_2), L^2/L_2 once and,
     for each p in primes, asserts that their p-local invariant factors agree.
+    Each p must be a prime integer.
     """
+    primes = [_as_prime(p) for p in primes]
     pieces = split_lattice(lat, s)
     q1 = _quotient_invariants(pieces.l1, pieces.l1_denom,
                               pieces.l1_proj, pieces.l1_proj_denom)
@@ -657,6 +667,7 @@ def _find_congruences(ops, lat: Lattice, s: Split, primes) -> tuple[CongruenceSe
 
     The checks, the eigensystems and the split do not depend on p: each is made once.
     """
+    primes = [_as_prime(p) for p in primes]
     ops = [_as_matrix(op) for op in ops]
     n = lat.ambient_dim
     if any(len(op) != n or any(len(row) != n for row in op) for op in ops):

@@ -6,18 +6,20 @@ data on the embedding indices.  Elements are rational coordinate vectors
 in the power basis; all arithmetic is exact.  A product is a remainder by
 the monic min_poly, and an inverse is one fraction-free solve
 (exact._solve) against the integer matrix of multiplication.  Real
-embeddings are produced as dyadic intervals that provably contain the
-exact value, refined by bisection on the isolating interval of the
-corresponding root.
+embeddings are dyadic intervals that provably contain the exact value.
+
+A root is an integer cell (lo_m, hi_m, exp, sign of min_poly at lo), the
+root in (lo_m / 2^exp, hi_m / 2^exp], from isolation on: the Sturm chain
+holds primitive integer polynomials, the integer Horner _sign_at reads its
+signs at dyadic points, and _bisect refines a cell.
 
 A DyadicInterval is two integer mantissas over one power of two,
 [lo_m / 2^exp, hi_m / 2^exp], so interval arithmetic is integer
 arithmetic: a product multiplies mantissas and adds exponents, outward
 rounding is a floor or ceiling shift, inverse and sqrt are floor and
-ceiling divisions and isqrt.  Root bisection reads the sign of min_poly
-from an integer Horner at a mantissa, embed runs Horner on an element's
-integer numerators over one common denominator, and norm and trace read
-the integer matrix of multiplication by the element.
+ceiling divisions and isqrt.  embed runs Horner on an element's integer
+numerators over one common denominator at a root's cell, and norm and
+trace read the integer matrix of multiplication by the element.
 
 make_field decides irreducibility exactly, at every degree.  With d simple
 real roots, Gauss's lemma makes the polynomial reducible exactly when
@@ -74,8 +76,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import (_Frozen, _as_int, _charpoly, _poly_eval, _poly_mul, _poly_rem, _solve,
-                    bareiss_det)
+from .exact import _Frozen, _as_int, _charpoly, _poly_mul, _poly_rem, _solve, bareiss_det
 
 
 class NotIrreducible(ValueError):
@@ -328,82 +329,13 @@ ZERO = Zero()
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (dense lists, low degree first)
+# real roots as integer cells
 
 
 def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_deriv(p):
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _sturm_chain(p):
-    chain = [list(p), _poly_deriv(p)]
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _isolate_real_roots(coeffs) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals (lo, hi], ascending, one per root.
-
-    Raises NotIrreducible on a repeated factor, seen when the Sturm chain
-    ends in gcd(p, p') of positive degree (bisection needs a squarefree p),
-    and then NotTotallyReal when fewer than deg p roots are real.
-    """
-    p = [Fraction(c) for c in coeffs]
-    chain = _sturm_chain(p)
-    if len(chain[-1]) > 1:
-        raise NotIrreducible(f"{coeffs} has a repeated factor")
-    bound = Fraction(math.ceil(1 + max(abs(c) for c in p[:-1]) / abs(p[-1])))
-
-    out = []
-
-    def recurse(lo, hi, count):
-        if count == 0:
-            return
-        if count == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        left = _sign_variations(chain, lo) - _sign_variations(chain, mid)
-        recurse(lo, mid, left)
-        recurse(mid, hi, count - left)
-
-    total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
-    if total < len(p) - 1:
-        raise NotTotallyReal(f"only {total} real roots for degree {len(p) - 1}")
-    recurse(-bound, bound, total)
-    return out
 
 
 def _sign_at(p, m: int, exp: int) -> int:
@@ -414,14 +346,70 @@ def _sign_at(p, m: int, exp: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _bisection_start(p, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """(lo_m, hi_m, exp, sign of p at lo) for a dyadic isolating interval."""
-    iv = DyadicInterval(lo, hi)
-    sign_lo = _sign_at(p, iv.lo_m, iv.exp)
-    if sign_lo == 0:
-        # the endpoint is the root itself (a rational root, degree 1 only)
-        return iv.lo_m, iv.lo_m, iv.exp, 0
-    return iv.lo_m, iv.hi_m, iv.exp, sign_lo
+def _sturm_chain(p) -> list[list[int]]:
+    """p, p', then each -(a rem b) of the last two, divided by its content.
+
+    a rem b is taken as s*a - c*x^k*b with s > 0, one leading term at a
+    time, so every member is a positive multiple of the rational Sturm
+    chain's and has its signs.
+    """
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        a, b = chain[-2], chain[-1]
+        while len(a) >= len(b):
+            g = math.gcd(a[-1], b[-1])
+            c, s = a[-1] // g, b[-1] // g
+            if s < 0:
+                c, s = -c, -s
+            k = len(a) - len(b)
+            a = [s * x for x in a]
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+            _poly_trim(a)
+        if not a:
+            return chain
+        g = math.gcd(*a)
+        chain.append([-x // g for x in a])
+
+
+def _isolate_real_roots(coeffs) -> list[tuple[int, int, int, int]]:
+    """One cell (lo_m, hi_m, exp, sign of p at lo) per real root, ascending.
+
+    Each root lies in its cell's (lo_m / 2^exp, hi_m / 2^exp], written at
+    the least exponent that holds both ends.  The cells are the parts of
+    (-B, B], B = 1 + max |c_i| for the monic p, halved until the Sturm chain
+    counts at most one root in each.  A lower end that is a root (only a
+    reducible p has one) makes the cell that point.  Raises NotIrreducible
+    on a repeated factor (the chain ends in gcd(p, p') of positive degree),
+    then NotTotallyReal.
+    """
+    chain = _sturm_chain(coeffs)
+    if len(chain[-1]) > 1:
+        raise NotIrreducible(f"{coeffs} has a repeated factor")
+    out = []
+
+    def variations(m, exp):
+        signs = [s for s in (_sign_at(q, m, exp) for q in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def recurse(lo_m, hi_m, exp, v_lo, v_hi):
+        if v_lo - v_hi == 1:
+            while exp and not (lo_m | hi_m) & 1:
+                lo_m, hi_m, exp = lo_m >> 1, hi_m >> 1, exp - 1
+            sign_lo = _sign_at(coeffs, lo_m, exp)
+            out.append((lo_m, hi_m if sign_lo else lo_m, exp, sign_lo))
+        elif v_lo > v_hi:
+            mid = lo_m + hi_m
+            v_mid = variations(mid, exp + 1)
+            recurse(lo_m << 1, mid, exp + 1, v_lo, v_mid)
+            recurse(mid, hi_m << 1, exp + 1, v_mid, v_hi)
+
+    d, bound = len(coeffs) - 1, 1 + max(abs(c) for c in coeffs[:-1])
+    v_lo, v_hi = variations(-bound, 0), variations(bound, 0)
+    if v_lo - v_hi < d:
+        raise NotTotallyReal(f"only {v_lo - v_hi} real roots for degree {d}")
+    recurse(-bound, bound, 0, v_lo, v_hi)
+    return out
 
 
 def _bisect(p, root, bits: int) -> tuple[int, int, int, int]:
@@ -478,19 +466,28 @@ class Field(_Frozen):
     """Totally real number field Q[x]/(min_poly) with ordered real embeddings.
 
     min_poly is monic, low degree first; embeddings are isolating intervals
-    (lo, hi], one per real root.  Equality and hashing ignore the two caches.
+    (lo, hi], one per real root: the ends of the cells _refined_root starts
+    from.  Equality and hashing ignore the cells and the two caches.
     """
 
     def __init__(self, min_poly: tuple[int, ...],
                  embeddings: tuple[tuple[Fraction, Fraction], ...],
                  galois: tuple[tuple[int, ...], ...] | None, degree: int,
-                 _root_cache: dict | None = None, _unit_cache: dict | None = None):
+                 _root_cache: dict | None = None, _unit_cache: dict | None = None,
+                 _cells: tuple | None = None):
         object.__setattr__(self, "min_poly", min_poly)
         object.__setattr__(self, "embeddings", embeddings)
         object.__setattr__(self, "galois", galois)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_root_cache", {} if _root_cache is None else _root_cache)
         object.__setattr__(self, "_unit_cache", {} if _unit_cache is None else _unit_cache)
+        if _cells is not None:
+            object.__setattr__(self, "_cells", _cells)
+
+    @cached_property
+    def _cells(self) -> tuple:
+        """The isolating cells, when the caller did not pass make_field's."""
+        return tuple(_isolate_real_roots(list(self.min_poly)))
 
     def _key(self):
         return self.min_poly, self.embeddings, self.galois, self.degree
@@ -532,12 +529,11 @@ class Field(_Frozen):
     def _refined_root(self, idx: int, bits: int) -> tuple[int, int, int]:
         """Root idx as mantissas (lo_m, hi_m, exp) of width <= 2^-bits.
 
-        Successive calls continue one bisection of the isolating interval,
-        so the intervals returned for one root are nested.
+        The first call bisects the root's isolating cell, and later calls
+        continue from the deepest cell so far, so the intervals returned for
+        one root are nested.
         """
-        root = self._root_cache.get(idx)
-        if root is None:
-            root = _bisection_start(self.min_poly, *self.embeddings[idx])
+        root = self._root_cache.get(idx) or self._cells[idx]
         root = _bisect(self.min_poly, root, bits)
         self._root_cache[idx] = root
         return root[:3]
@@ -650,7 +646,9 @@ def make_field(coeffs, galois=None) -> Field:
     coeffs is low degree first, each an integer.  A polynomial with a
     repeated factor raises NotIrreducible, then one with fewer than d real
     roots raises NotTotallyReal, then one with a monic integer factor of
-    degree at most d/2 raises NotIrreducible.  Degree-2 fields default to
+    degree at most d/2 raises NotIrreducible.  The root cells of the one
+    isolation serve the factor test and the field's root refinement, and
+    the embeddings are their endpoints.  Degree-2 fields default to
     the swap Galois group, cyclic cubics (square discriminant) to the
     3-cycle group; other degrees carry no Galois data unless supplied.
     Supplied data must be a transitive permutation group, and on a cubic a
@@ -662,8 +660,8 @@ def make_field(coeffs, galois=None) -> Field:
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     d = len(coeffs) - 1
-    intervals = _isolate_real_roots(coeffs)
-    if d > 1 and _has_small_factor(coeffs, intervals):
+    cells = _isolate_real_roots(coeffs)
+    if d > 1 and _has_small_factor(coeffs, cells):
         raise NotIrreducible(f"{coeffs} has a rational factor")
     if galois is not None:
         galois = tuple(tuple(_as_int(i, "galois entry") for i in perm) for perm in galois)
@@ -674,18 +672,20 @@ def make_field(coeffs, galois=None) -> Field:
                 f"{_cubic_discriminant(coeffs)} is not a square")
     else:
         galois = _default_galois(d, coeffs)
-    return Field(min_poly=tuple(coeffs), embeddings=tuple(intervals),
-                 galois=galois, degree=d)
+    embeddings = tuple((Fraction(lo_m, 1 << exp), Fraction(hi_m, 1 << exp))
+                       for lo_m, hi_m, exp, _ in cells)
+    return Field(min_poly=tuple(coeffs), embeddings=embeddings, galois=galois, degree=d,
+                 _cells=tuple(cells))
 
 
-def _has_small_factor(p, intervals) -> bool:
+def _has_small_factor(p, roots) -> bool:
     """Whether p, of degree d >= 2 with every root real, simple and isolated
-    by intervals, has a monic integer factor prod (x - r) over a k-subset
-    of the roots, 1 <= k <= d/2.  Each coefficient's interval ends narrower
-    than 1, so the candidate is the one integer (if any) inside each.
+    by the cells roots, has a monic integer factor prod (x - r) over a
+    k-subset of the roots, 1 <= k <= d/2.  Each coefficient's interval ends
+    narrower than 1, so the candidate is the one integer (if any) inside
+    each, and exact division by the monic candidate decides it.
     """
     d = len(p) - 1
-    roots = [_bisection_start(p, lo, hi) for lo, hi in intervals]
     bits = 1
     while True:
         roots = [_bisect(p, r, bits) for r in roots]
@@ -700,17 +700,12 @@ def _has_small_factor(p, intervals) -> bool:
         if all(c.width < 1 for coeffs in products.values() for c in coeffs):
             break
         bits *= 2
-    return any(_divides(p, [*f, 1]) for coeffs in products.values()
+    return any(not any(_poly_rem(p, [*f, 1])) for coeffs in products.values()
                for f in itertools.product(*map(_integers_in, coeffs)))
 
 
 def _integers_in(iv: DyadicInterval) -> range:
     return range(_ceil_shift(iv.lo_m, iv.exp), (iv.hi_m >> iv.exp) + 1)
-
-
-def _divides(p, f) -> bool:
-    """Whether the monic integer polynomial f divides p (low degree first)."""
-    return not any(_poly_rem(p, f))
 
 
 def _validate_galois(perms, d):
@@ -922,8 +917,7 @@ def _conjugate_quadratic(a: FieldElem) -> FieldElem:
     return a.field.element([trace(a)]) - a
 
 
-def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
-                     precision_cap: int = DEFAULT_PRECISION_CAP):
+def symmetrized_norm(eps: FieldElem, e, precision_cap: int = DEFAULT_PRECISION_CAP):
     """Certified integer prod_{sigma in G}(prod_tau emb_{sigma(tau)}(eps)^e_tau - 1).
 
     G is the field's Galois permutation data when present, else the full
@@ -934,7 +928,7 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
     Returns a CertifiedInteger, the Zero sentinel when the integer is 0,
     or raises Indeterminate when no integer is pinned at the cap.
     """
-    fld = fld or eps.field
+    fld = eps.field
     e = tuple(_as_int(x, "exponent") for x in e)
     d = fld.degree
     if len(e) != d:
@@ -946,7 +940,6 @@ def symmetrized_norm(eps: FieldElem, e, fld: Field | None = None,
 
 
 def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
-                                fld: Field | None = None,
                                 precision_cap: int = DEFAULT_PRECISION_CAP):
     """Certified integer for the two-product difference form.
 
@@ -957,7 +950,7 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
     make the expression a unit multiple of the single-product form, so the
     two certified integers agree up to sign.
     """
-    fld = fld or eps.field
+    fld = eps.field
     subset = frozenset(subset)
     group = _symmetrization_group(fld)
     unit = eps._unit_memo

@@ -171,8 +171,8 @@ def test_05_q5_certification():
         e_on = tuple(w.k0 - w.m[t] - 1 for t in range(2))
         e_off = tuple(-w.m[t] for t in range(2))
         subset = [t for t in range(2) if (mask >> t) & 1]
-        v1 = symmetrized_norm(eps0, pj, f)
-        v2 = symmetrized_difference_norm(eps0, e_on, e_off, subset, f)
+        v1 = symmetrized_norm(eps0, pj)
+        v2 = symmetrized_difference_norm(eps0, e_on, e_off, subset)
         assert abs(v1.value) == abs(v2.value)
     b = prime_bounds(w)
     assert b.min_prime_exceptional == 13

@@ -140,3 +140,16 @@ class TestE1Table:
     def test_text_render(self):
         text = bgg_table(make_weight([4, 2])).to_text()
         assert "r=0" in text and "Fil^5" in text
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kostant_weights((4.9, 2), 1), "n entry must be an integer, not 4.9"),
+    (lambda: omega_weights((4, 2.5), 1), "n entry must be an integer, not 2.5"),
+    (lambda: central_char_equiv((1.5, 0), (4, 2), 7), "mu entry must be an integer, not 1.5"),
+    (lambda: central_char_equiv((1, 0), (4, True), 7), "n entry must be an integer, not True"),
+    (lambda: mod_p_guard((4.9, 2), 11), "n entry must be an integer, not 4.9"),
+])
+def test_non_integer_weights_rejected(call, message):
+    """A float is an error, not truncated to the weight of another form."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

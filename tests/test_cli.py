@@ -135,7 +135,14 @@ class TestMalformedConfig:
                "split": {"v1": [["1/0", 0]], "v2": [[0, 1]]}}
         code, err = self._run(tmp_path, capsys, cfg, "congruence-module")
         assert code == 1
-        assert err == "error: zero denominator in split v1 entry '1/0'\n"
+        assert err == "error: zero denominator in rational '1/0'\n"
+
+    @pytest.mark.parametrize("entry", [0.5, True])
+    def test_split_entry_not_a_rational(self, tmp_path, capsys, entry):
+        cfg = {"lattice": [[1, 0], [0, 5]], "p": 5,
+               "split": {"v1": [[entry, 1]], "v2": [[0, 1]]}}
+        code, err = self._run(tmp_path, capsys, cfg, "congruence-module")
+        assert (code, err) == (1, f"error: cannot parse rational from {entry!r}\n")
 
     @pytest.mark.parametrize("cfg", [[{"a": 1}], [1, 2], "field", 3, None])
     def test_top_level_not_an_object(self, tmp_path, capsys, cfg):
@@ -417,6 +424,18 @@ class TestCongruenceModuleCommand:
         assert code == 0
         assert [pl["p"] for pl in json.loads(out.out)] == [5, 3, 7]
         assert calls == {"split": 1, "eigensystems": 2}
+
+    def test_rational_split_entries(self, tmp_path, capsys):
+        # split entries are read as unit coordinates are: "p/q" and [p, q] agree
+        outputs = []
+        for entry in ["1/2", [1, 2]]:
+            path = tmp_path / "cm.json"
+            path.write_text(json.dumps({"lattice": [[1, 1], [0, 5]], "p": 5,
+                                        "split": {"v1": [[entry, 1]], "v2": [[0, 1]]}}))
+            assert run(["--format", "json", "congruence-module", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["p"] == 5
 
     @pytest.mark.parametrize("p", [[], [5, 4], [1], 6])
     def test_rejects_empty_or_non_prime(self, tmp_path, capsys, p):

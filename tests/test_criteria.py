@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,39 @@ class TestInputValidation:
                     QuadExtDescription(delta=q5.gen, units=()),
                 ),
             )
+
+
+class TestOneField:
+    """Every element of a certificate belongs to its field, checked first."""
+
+    CUBIC, CYCLIC = [1, -4, 0, 1], [-1, -3, 0, 1]
+
+    @pytest.mark.parametrize("field_poly, unit_poly", [(CUBIC, CYCLIC), (CYCLIC, CUBIC)])
+    def test_unit_of_another_field(self, field_poly, unit_poly):
+        u = make_field(unit_poly).gen ** 2
+        tail = re.escape(f" is an element of Field({unit_poly}), not of Field({field_poly})")
+        with pytest.raises(ValueError, match=f"^unit FieldElem.*{tail}$"):
+            CertificationInputs(field=make_field(field_poly), weight=make_weight([4, 2, 2]),
+                                delta=7, units=(u,))
+
+    def test_same_polynomial_other_galois_data(self):
+        klein = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 3, 0, 1]]
+        f, g = make_field([1, 0, -4, 0, 1]), make_field([1, 0, -4, 0, 1], galois=klein)
+        with pytest.raises(ValueError, match="^unit "):
+            CertificationInputs(field=f, weight=make_weight([4, 2, 2, 2]), delta=1,
+                                units=(g.gen ** 2,))
+
+    @pytest.mark.parametrize("where", ["delta", "unit entry"])
+    def test_quadratic_extension_of_another_field(self, q5, eps0, where):
+        other = make_field([-2, 0, 1])
+        one, two = q5.one, q5.element([2])
+        if where == "delta":
+            kd = QuadExtDescription(delta=other.element([2]), units=(), label="K2")
+        else:
+            kd = QuadExtDescription(delta=two, units=((other.element([3]), one),), label="K2")
+        with pytest.raises(ValueError, match=rf"^K2: {where} FieldElem"):
+            CertificationInputs(field=q5, weight=make_weight([4, 2]), delta=1, units=(eps0,),
+                                quadratic_extensions=(kd,))
 
 
 class TestIrrCriterion:

@@ -515,3 +515,16 @@ class TestTameChar:
                         if order <= 5:
                             assert 5 * sum(k - 1 for k in ks) >= h * (p - 1), (
                                 p, h, ks, signs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Fq(3, 2, [2.9, 2, 1]), "modulus coefficient must be an integer, not 2.9"),
+    (lambda: recover_from_subset_sums([1.9, 2, 4, 5], 2),
+     "subset sum must be an integer, not 1.9"),
+    (lambda: tensor_induce([((1, 0), (0, 1))] * 2, (1.7, 0.2)),
+     "perm entry must be an integer, not 1.7"),
+])
+def test_non_integer_entries_rejected(call, message):
+    """A float is an error, not truncated to another modulus, multiset or slot."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

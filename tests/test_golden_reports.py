@@ -5,8 +5,9 @@ The README promises deterministic reports; the exclude-primes configs cover
 the exact quadratic path with a dihedral extension, a cyclic cubic, a
 non-Galois cubic with a dihedral extension over intervals, and a
 Klein-four quartic under a 256-bit cap whose exact-zero subsets are
-proven degenerate.  The classify-image cases cover the large-image check
-on SL2 conjugates over F_7, F_11 and F_13, SL2(F_3) (not perfect),
+proven degenerate, and a quintic with no Galois data, symmetrized over
+S_5.  The classify-image cases cover the large-image check on SL2
+conjugates over F_7, F_11 and F_13, SL2(F_3) (not perfect),
 GL2(F_3) inside GL2(F_9), the full GL2(F_9), GL2(F_3) extended by the
 scalars of F_9, and a dihedral group that fails it.  A file under golden/
 changes only when a report is meant to change.
@@ -21,7 +22,7 @@ from hmfcert.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 
-X_SQUARED = {3: ["0", "0", "1"], 4: ["0", "0", "1", "0"]}
+X_SQUARED = {3: ["0", "0", "1"], 4: ["0", "0", "1", "0"], 5: ["0", "0", "1", "0", "0"]}
 
 CONFIGS = {
     "q5_fsqrt3": ({
@@ -59,6 +60,11 @@ CONFIGS = {
         "level": {"Delta": 1},
         "output": {"precision_cap": 256},
     }, 2),
+    "quintic_s5": ({
+        "field": {"min_poly": [1, 3, -3, -4, 1, 1], "units": [X_SQUARED[5]]},
+        "weight": {"k": [4, 2, 2, 2, 2]},
+        "level": {"Delta": 1},
+    }, 0),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -576,6 +577,24 @@ def _quotient_all_primes(lat, s):
     pieces = split_lattice(lat, s)
     return _quotient_invariants(pieces.l1, pieces.l1_denom,
                                 pieces.l1_proj, pieces.l1_proj_denom)
+
+
+@pytest.mark.parametrize("p, message", [
+    (1, "p = 1 is not prime"), (0, "p = 0 is not prime"), (4, "p = 4 is not prime"),
+    (-3, "p = -3 is not prime"), (True, "p must be an integer, not True"),
+    (2.0, "p must be an integer, not 2.0")])
+@pytest.mark.parametrize("call", [
+    lambda lat, s, p: congruence_module(lat, s, p),
+    lambda lat, s, p: congruence_modules(lat, s, (5, p)),
+    lambda lat, s, p: find_congruences([((2, 0), (0, 7))], lat, s, p),
+    lambda lat, s, p: lattice._find_congruences([((2, 0), (0, 7))], lat, s, (p, 5)),
+], ids=["congruence_module", "congruence_modules", "find_congruences", "_find_congruences"])
+def test_non_prime_p_rejected(call, p, message):
+    """A p that is not a prime integer raises before any lattice work (p = 1
+    used to loop forever in _p_part)."""
+    lat = Lattice(((2, 1), (0, 3)), 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(lat, coordinate_split(2, 1), p)
 
 
 class TestDiscPairing:

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfield_oracles
 from hmfcert import nfield
 from hmfcert.nfield import (
     CertifiedInteger,
@@ -1361,6 +1362,72 @@ class TestIrreducibilityAgainstSympy:
             assert _make_field_verdict(p) is want, p
             seen[want] += 1
         assert min(seen.values()) >= 40, seen
+
+
+
+class TestRootLayerAgainstFractions:
+    """make_field's integer root cells against Fraction Sturm isolation."""
+
+    @staticmethod
+    def _polys(rng, n):
+        for _ in range(n):
+            d = rng.randint(1, 8)
+            if rng.random() < 0.5:
+                yield [rng.randint(-9, 9) for _ in range(d)] + [1]
+                continue
+            # a product of linear factors, so repeated, reducible and totally
+            # real cases occur, then perturbed in a few coefficients
+            roots = (rng.sample(range(-7, 8), d) if rng.random() < 0.5
+                     else [rng.randint(-6, 6) for _ in range(d)])
+            p = _poly_product(*([-r, 1] for r in roots))
+            for i in rng.sample(range(d), rng.randint(0, min(d, 2))):
+                p[i] += rng.choice([-3, -2, -1, 1, 2, 3])
+            yield p
+
+    @staticmethod
+    def _oracle(p, seen):
+        """make_field's outcome from Fraction isolation: (exception type,
+        message), or (embeddings, each root's cells at 8 and then 70 bits)."""
+        try:
+            intervals = nfield_oracles.isolate_real_roots(p)
+        except (NotIrreducible, NotTotallyReal) as exc:
+            return type(exc), str(exc)
+        cells = [nfield_oracles.start_cell(p, lo, hi) for lo, hi in intervals]
+        assert nfield._isolate_real_roots(p) == cells, p
+        seen["degenerate cell"] += any(c[3] == 0 for c in cells)
+        if len(p) > 2 and nfield._has_small_factor(p, cells):
+            return NotIrreducible, f"{p} has a rational factor"
+        refined = []
+        for cell in cells:
+            at_8 = nfield._bisect(p, cell, 8)
+            refined.append((at_8[:3], nfield._bisect(p, at_8, 70)[:3]))
+        return tuple(intervals), refined
+
+    def test_same_embeddings_cells_and_errors(self):
+        rng = random.Random(20)
+        seen = {"field": 0, "repeated factor": 0, "rational factor": 0, "real roots": 0,
+                "degenerate cell": 0}
+        for p in self._polys(rng, 2000):
+            want = self._oracle(p, seen)
+            try:
+                fld = make_field(p)
+            except (NotIrreducible, NotTotallyReal) as exc:
+                assert (type(exc), str(exc)) == want, p
+                seen[next(k for k in seen if k in str(exc))] += 1
+            else:
+                cells = [(fld._refined_root(i, 8), fld._refined_root(i, 70))
+                         for i in range(fld.degree)]
+                assert (fld.embeddings, cells) == want, p
+                seen["field"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_field_built_without_cells(self):
+        # a Field constructed directly isolates its min_poly on first use
+        f = make_field([1, 3, -3, -4, 1, 1])
+        g = nfield.Field(f.min_poly, f.embeddings, f.galois, f.degree)
+        assert g == f and "_cells" not in g.__dict__
+        assert [embed(g.gen, i, 100) for i in range(5)] == [embed(f.gen, i, 100) for i in range(5)]
+        assert g._cells == f._cells
 
 
 def test_fields_and_primes_without_sympy():
