@@ -81,6 +81,7 @@ def central_char_equiv(mu, n, p: int) -> list[int]:
     """Subsets J with mu = (sign-flipped n+t) - t coordinatewise mod p."""
     mu = tuple(_as_int(x, "mu entry") for x in mu)
     n = tuple(_as_int(x, "n entry") for x in n)
+    p = _as_int(p, "p")
     d = len(n)
     out = []
     for mask in range(1 << d):
@@ -93,7 +94,8 @@ def central_char_equiv(mu, n, p: int) -> list[int]:
 def mod_p_guard(n, p: int, d: int | None = None) -> bool:
     """The decomposition hypothesis p - 1 > |n| + d, reported not assumed."""
     n = tuple(_as_int(x, "n entry") for x in n)
-    d = d if d is not None else len(n)
+    p = _as_int(p, "p")
+    d = len(n) if d is None else _as_int(d, "d")
     return p - 1 > sum(n) + d
 
 

@@ -159,6 +159,13 @@ def _hnf_mod(m, det: int) -> IntMatrix:
     R = |det|, so rows are combined modulo R.  Once the pivot g of a column
     is fixed, the rest of L has a determinant dividing R/g, and R becomes
     R/g (Domich, Kannan & Trotter 1987; Cohen, Alg. 2.4.8).
+
+    A row whose entry b in the pivot column is a multiple of the pivot
+    entry p0 is cleared by one row update, row - (b // p0)*piv mod R; the
+    other rows are merged into the pivot row by an extended-gcd combine.
+    The pivot row then becomes u*piv mod R with g = gcd(p0, R) and u the
+    inverse of p0/g modulo R/g: any u with u*p0 = g mod R gives a row of L
+    with pivot g, and the final reduction makes the form canonical.
     """
     if not det:
         raise ValueError("singular matrix")
@@ -173,13 +180,19 @@ def _hnf_mod(m, det: int) -> IntMatrix:
         for row in a[1:]:
             b = row[0]
             if b:
-                g, u, v = _xgcd(piv[0], b)
-                x, y = piv[0] // g, b // g
-                piv, row = ([(u * s + v * t) % r for s, t in zip(piv, row)],
-                            [(x * t - y * s) % r for s, t in zip(piv, row)])
+                p0 = piv[0]
+                if p0 and not b % p0:
+                    q = b // p0
+                    row = [(t - q * s) % r for s, t in zip(piv, row)]
+                else:
+                    g, u, v = _xgcd(p0, b)
+                    x, y = p0 // g, b // g
+                    piv, row = ([(u * s + v * t) % r for s, t in zip(piv, row)],
+                                [(x * t - y * s) % r for s, t in zip(piv, row)])
             rest.append(row[1:])
-        # the pivot row is u*piv + v*R*e_i: pivot gcd(piv[0], R), rest mod R
-        g, u, _ = _xgcd(piv[0], r)
+        # the pivot row is u*piv + k*R*e_i: pivot gcd(piv[0], R), rest mod R
+        g = math.gcd(piv[0], r)
+        u = pow(piv[0] // g, -1, r // g)
         h.append([0] * i + [g] + [u * x % r for x in piv[1:]])
         if g > 1:
             r //= g
@@ -407,9 +420,11 @@ def split_lattice(lat: Lattice, s: Split) -> SplitPieces:
     # In the Hermite form of coords with the V1 columns first, the first d1
     # rows restricted to V1 are a basis of the projection L^1 and the other
     # rows restricted to V2 a basis of L ∩ V2; with V2 first, the same for
-    # L^2 and L ∩ V1.  Blocks of a Hermite form are Hermite forms.
+    # L^2 and L ∩ V1.  Blocks of a Hermite form are Hermite forms.  h1 spans
+    # L with the same |det| and is nearly the identity, so the form with V2
+    # first is made from its rows: most of their pivot-column entries are 0.
     h1 = _hnf_mod(coords, det)
-    h2 = _hnf_mod([row[d1:] + row[:d1] for row in coords], det)
+    h2 = _hnf_mod([row[d1:] + row[:d1] for row in h1], det)
     p1, p1_den = _lowest_terms([row[:d1] for row in h1[:d1]], d)
     l2, l2_den = _lowest_terms([row[d1:] for row in h1[d1:]], d)
     p2, p2_den = _lowest_terms([row[:d2] for row in h2[:d2]], d)

@@ -522,7 +522,12 @@ class Field(_Frozen):
         return self.element([0, 1])
 
     def __repr__(self):
-        return f"Field({list(self.min_poly)})"
+        # the Galois data is shown when make_field(min_poly) would not pick it,
+        # so two fields with one polynomial never print alike
+        if self.galois == _default_galois(self.degree, self.min_poly):
+            return f"Field({list(self.min_poly)})"
+        galois = None if self.galois is None else [list(g) for g in self.galois]
+        return f"Field({list(self.min_poly)}, galois={galois})"
 
     # --- root refinement -------------------------------------------------
 

@@ -139,11 +139,34 @@ def _pollard_rho(n: int) -> int:
     raise FactorizationIncomplete(n, n, {})
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by Newton's iteration from above."""
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with m = r**k for the least prime k, or None if m is no power."""
+    for k in range(2, m.bit_length()):
+        if is_prime(k):
+            r = _iroot(m, k)
+            if r ** k == m:
+                return r, k
+    return None
+
+
 def factor(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division up to 10**6, then Pollard rho.  Raises
-    FactorizationIncomplete if a composite cofactor above 2**128 resists.
+    Trial division up to 10**6, then Pollard rho.  A composite cofactor
+    above 2**128 is split only when it is a perfect power r**k, and r is
+    factored in its place; otherwise FactorizationIncomplete is raised.
     """
     n = abs(n)
     if n in (0, 1):
@@ -165,20 +188,26 @@ def factor(n: int) -> dict[int, int]:
         i = (i + 1) % 8
     if rest == 1:
         return out
-    stack = [rest]
+    # (cofactor, multiplicity) pairs: a perfect power's root is factored once
+    stack = [(rest, 1)]
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
         if m > _RHO_CAP:
-            raise FactorizationIncomplete(n, m, out)
+            power = _perfect_power(m)
+            if power is None:
+                raise FactorizationIncomplete(n, m, out)
+            r, k = power
+            stack.append((r, e * k))
+            continue
         try:
             d = _pollard_rho(m)
         except FactorizationIncomplete:
             raise FactorizationIncomplete(n, m, out) from None
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, e))
+        stack.append((m // d, e))
     return out

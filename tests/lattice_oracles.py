@@ -5,7 +5,9 @@ eigenspaces over F_p with its own small F_p linear algebra, split_indices
 gives the indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L] from determinants,
 three_way_by_solve computes the three congruence quotients with a
 Bareiss solve and determinant each, the middle one in ambient coordinates,
-and in_row_span tests lattice membership from a fresh Hermite form.
+in_row_span tests lattice membership from a fresh Hermite form, and
+split_lattice_from_coords makes both Hermite forms of split_lattice from
+the lattice's (V1, V2)-coordinates, the second without reusing the first.
 """
 
 import math
@@ -13,8 +15,10 @@ import math
 from hmfcert.lattice import (
     Lattice,
     Split,
+    SplitPieces,
     _hnf_mod,
     _in_hnf_span,
+    _lowest_terms,
     _p_part,
     _restrict,
     _scale_to_int,
@@ -31,6 +35,24 @@ from hmfcert.lattice import (
 def in_row_span(vec, basis) -> bool:
     """Integer membership of vec in the lattice spanned by basis rows."""
     return _in_hnf_span(vec, hnf(basis))
+
+
+def split_lattice_from_coords(lat: Lattice, s: Split) -> SplitPieces:
+    """split_lattice with each Hermite form made from the coordinates of
+    lat.basis: the V2-first form is the form of the permuted coordinates."""
+    n, d1, d2 = lat.ambient_dim, s.dim1, s.dim2
+    p, p_den = _scale_to_int(s.v1_basis + s.v2_basis)
+    d, y = _solve(_transpose(p, n), _transpose(lat.basis, n))
+    coords = [[p_den * x for x in row] for row in zip(*y)]
+    d, det = abs(d), bareiss_det(coords)
+    h1 = _hnf_mod(coords, det)
+    h2 = _hnf_mod([row[d1:] + row[:d1] for row in coords], det)
+    p1, p1_den = _lowest_terms([row[:d1] for row in h1[:d1]], d)
+    l2, l2_den = _lowest_terms([row[d1:] for row in h1[d1:]], d)
+    p2, p2_den = _lowest_terms([row[:d2] for row in h2[:d2]], d)
+    l1, l1_den = _lowest_terms([row[d2:] for row in h2[d2:]], d)
+    return SplitPieces(l1, l1_den, l2, l2_den, p1, p1_den, p2, p2_den,
+                       *_lowest_terms(h1, d))
 
 
 def _ambient_rows(s: Split, pieces):

@@ -148,6 +148,9 @@ class TestE1Table:
     (lambda: central_char_equiv((1.5, 0), (4, 2), 7), "mu entry must be an integer, not 1.5"),
     (lambda: central_char_equiv((1, 0), (4, True), 7), "n entry must be an integer, not True"),
     (lambda: mod_p_guard((4.9, 2), 11), "n entry must be an integer, not 4.9"),
+    (lambda: mod_p_guard((4, 2), 11.5), "p must be an integer, not 11.5"),
+    (lambda: mod_p_guard((4, 2), 11, d=2.0), "d must be an integer, not 2.0"),
+    (lambda: central_char_equiv((1, 0), (4, 2), 7.5), "p must be an integer, not 7.5"),
 ])
 def test_non_integer_weights_rejected(call, message):
     """A float is an error, not truncated to the weight of another form."""

@@ -219,9 +219,13 @@ class TestOneField:
     def test_same_polynomial_other_galois_data(self):
         klein = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 3, 0, 1]]
         f, g = make_field([1, 0, -4, 0, 1]), make_field([1, 0, -4, 0, 1], galois=klein)
-        with pytest.raises(ValueError, match="^unit "):
+        with pytest.raises(ValueError, match="^unit ") as exc:
             CertificationInputs(field=f, weight=make_weight([4, 2, 2, 2]), delta=1,
                                 units=(g.gen ** 2,))
+        # the message names the two fields apart: only the unit's carries data
+        assert str(exc.value).endswith(
+            f" is an element of Field([1, 0, -4, 0, 1], galois={klein}),"
+            " not of Field([1, 0, -4, 0, 1])")
 
     @pytest.mark.parametrize("where", ["delta", "unit entry"])
     def test_quadratic_extension_of_another_field(self, q5, eps0, where):

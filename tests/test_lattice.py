@@ -50,6 +50,7 @@ from lattice_oracles import (
     localized_module_nonzero,
     relation_matrix_by_solve,
     split_indices,
+    split_lattice_from_coords,
     three_way_by_solve,
 )
 
@@ -233,6 +234,26 @@ class TestHnfMod:
             assert det in (1, -1)
             assert _hnf_mod(m, det) == hnf(m) == tuple(
                 tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def test_large_against_hnf(self):
+        """n = 7..16: sparse rows (zero pivot-column entries), rows scaled by
+        4, 9 or 25 (square factors in det, so pivots g > 1 divide R), a
+        multiple of det, and unimodular matrices."""
+        rng = random.Random(21)
+        for trial in range(40):
+            n = 7 + trial % 10
+            if trial % 4 == 3:
+                m = _unimodular(rng, n)
+            else:
+                while True:
+                    m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                         for _ in range(n)]
+                    if bareiss_det(m):
+                        break
+                for i in rng.sample(range(n), rng.randint(1, 3)):
+                    m[i] = [rng.choice((4, 9, 25)) * x for x in m[i]]
+            det = rng.choice((1, -1, 2, 6)) * bareiss_det(m)
+            assert _hnf_mod(m, det) == hnf(m)
 
     def test_zero_pivot_column(self):
         # every entry of the first column is a multiple of det: the pivot is det
@@ -430,6 +451,19 @@ class TestSplitLattice:
             for s in (coordinate_split(n, d1), _oblique_split(rng, n, d1)):
                 assert split_lattice(lat, s) == split_lattice_via_kernels(lat, s)
             cases += 1
+
+    def test_second_form_from_first_matches_coords_route(self):
+        rng = random.Random(22)
+        for trial in range(60):
+            n = 2 + trial % 11
+            while True:
+                rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+                if bareiss_det(rows):
+                    break
+            lat = Lattice(tuple(tuple(r) for r in rows), n)
+            d1 = rng.randint(0, n)
+            for s in (coordinate_split(n, d1), _oblique_split(rng, n, d1)):
+                assert split_lattice(lat, s) == split_lattice_from_coords(lat, s)
 
     def test_oblique_split(self):
         lat = Lattice(((1, 0), (0, 1)), 2)

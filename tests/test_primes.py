@@ -5,7 +5,14 @@ import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from hmfcert import primes
-from hmfcert.primes import FactorizationIncomplete, _strong_lucas, factor, is_prime
+from hmfcert.primes import (
+    FactorizationIncomplete,
+    _iroot,
+    _strong_lucas,
+    factor,
+    is_prime,
+    next_prime,
+)
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first twelve and the
 # first thirteen prime bases (Sorenson & Webster, Math. Comp. 2017)
@@ -63,3 +70,29 @@ def test_cofactor_above_rho_cap_reports_the_input():
         factor(12 * p1 * p2)
     assert (exc.value.n, exc.value.cofactor, exc.value.partial) == (
         12 * p1 * p2, p1 * p2, {2: 2, 3: 1})
+
+
+@pytest.mark.parametrize("n, want", [
+    ((next_prime(2**40) * next_prime(2**41)) ** 3, {next_prime(2**40): 3, next_prime(2**41): 3}),
+    ((2**89 - 1) ** 2, {2**89 - 1: 2}),
+    (36 * (2**89 - 1) ** 4, {2: 2, 3: 2, 2**89 - 1: 4}),
+    (7 * (2**127 - 1) ** 5, {7: 1, 2**127 - 1: 5}),
+], ids=["cube-of-semiprime", "square", "fourth-power", "fifth-power"])
+def test_perfect_power_above_rho_cap_is_split(n, want):
+    """A composite cofactor above 2**128 that is r**k is factored through r."""
+    assert factor(n) == want
+
+
+def test_power_of_an_unsplittable_cofactor_still_flagged():
+    p1, p2 = 2**89 - 1, 2**107 - 1
+    with pytest.raises(FactorizationIncomplete) as exc:
+        factor(12 * (p1 * p2) ** 2)
+    assert (exc.value.cofactor, exc.value.partial) == (p1 * p2, {2: 2, 3: 1})
+
+
+def test_iroot_is_the_floor_root():
+    rng = random.Random(21)
+    for _ in range(2000):
+        m, k = rng.getrandbits(rng.randint(1, 400)) + 1, rng.randint(2, 60)
+        r = _iroot(m, k)
+        assert r ** k <= m < (r + 1) ** k, (m, k)
