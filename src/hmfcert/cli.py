@@ -322,6 +322,8 @@ def _cmd_classify_image(args) -> int:
 
 
 def _cmd_adjoint_check(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"adjoint-check --samples {args.samples} draws no parameters")
     rng = random.Random(args.seed)
     rows = []
     worst = 0.0

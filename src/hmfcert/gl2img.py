@@ -55,8 +55,11 @@ class Fq:
     """The finite field with q = p^r elements, q <= 121, table arithmetic."""
 
     def __init__(self, p: int, r: int = 1, modulus=None):
+        p, r = _as_int(p, "p"), _as_int(r, "r")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        if r < 1:
+            raise ValueError(f"r = {r} must be at least 1")
         q = p**r
         if q > Q_CAP:
             raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
@@ -620,6 +623,9 @@ def recover_from_subset_sums(S, d: int) -> tuple[int, tuple[int, ...]]:
     for d integers 0 <= 2 a_t < a.  Peels the shifted multiset as subset
     sums of the d positive gaps a - 2 a_t.
     """
+    d = _as_int(d, "d")
+    if d < 1:
+        raise Inconsistent(f"d = {d} must be at least 1")
     S = sorted(_as_int(x, "subset sum") for x in S)
     if len(S) != 1 << d:
         raise Inconsistent(f"expected {1 << d} values, got {len(S)}")

@@ -6,10 +6,11 @@ through one fraction-free Gauss-Jordan (_solve), except in the quotient
 step, where _relation_matrix substitutes against the upper-triangular
 Hermite bases that split_lattice has already made.  Every Hermite form goes
 through hnf, or through _hnf_mod (modulo the determinant) when the matrix
-is square and nonsingular, and a rational lattice is an integer matrix
-with one common denominator.  fractions.Fraction appears only at the Split input, whose
-bases are cleared to integers once, and in the eigenvalue search of
-find_congruences, which works with operators restricted to those bases.
+is square and nonsingular, and every Smith form through _smith, which
+repeats _hnf_mod on transposes.  A rational lattice is an integer matrix
+with one common denominator.  fractions.Fraction appears only at the Split
+input, whose bases are cleared to integers once, and in the eigenvalue
+search of find_congruences, which works with operators restricted to those bases.
 The Bareiss determinant and _solve live in exact, which the number-field
 module shares for norms and inverses.
 """
@@ -91,7 +92,7 @@ def hnf(m) -> IntMatrix:
     Returns the nonzero rows: a canonical basis of the integer row span.
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
     """
-    a = [list(map(int, row)) for row in m]
+    a = [[_as_int(x, "matrix entry") for x in row] for row in m]
     if not a:
         return ()
     ncols = len(a[0])
@@ -209,84 +210,42 @@ def _hnf_mod(m, det: int) -> IntMatrix:
     return _as_matrix(h)
 
 
+def _smith(a) -> tuple[int, ...]:
+    """Smith invariant factors of a square nonsingular upper-triangular matrix.
+
+    While an entry above the diagonal is nonzero, a becomes the Hermite form
+    of its transpose modulo det, the diagonal product; (gcd, lcm) swaps then
+    order the diagonal.  The passes end: each keeps |det| and makes the first
+    pivot the gcd of the first row, a divisor of the old pivot, and once the
+    pivot divides its row the next form clears its row and column, and the
+    argument repeats on the remaining block (Kannan & Bachem 1979).
+    """
+    n = len(a)
+    det = math.prod(a[i][i] for i in range(n))
+    if not det:
+        raise ValueError("singular matrix")
+    while any(any(row[i + 1:]) for i, row in enumerate(a)):
+        a = _hnf_mod(_transpose(a, n), det)
+    d = [abs(a[i][i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return tuple(d)
+
+
 def snf(m) -> tuple[int, ...]:
     """Smith invariant factors d1 | d2 | ... of an integer matrix.
 
     Returns min(nrows, ncols) entries; trailing zeros mark rank deficiency.
+    _smith takes the Hermite form of m, or of its transpose when that form
+    is wider than tall: square, nonsingular, with the same invariants.
     """
-    a = [list(map(int, row)) for row in m]
-    if not a or not a[0]:
-        return ()
-    nr, nc = len(a), len(a[0])
-    k = 0
-    size = min(nr, nc)
-    result = []
-    while k < size:
-        # find a nonzero pivot in the trailing block
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[k], a[i0] = a[i0], a[k]
-        for row in a:
-            row[k], row[j0] = row[j0], row[k]
-        while True:
-            # clear column k: reduce entries modulo the pivot; a nonzero
-            # remainder becomes the new (strictly smaller) pivot
-            restart = False
-            for i in range(k + 1, nr):
-                if a[i][k] == 0:
-                    continue
-                q = a[i][k] // a[k][k]
-                for j in range(k, nc):
-                    a[i][j] -= q * a[k][j]
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    restart = True
-                    break
-            if restart:
-                continue
-            # clear row k with column operations, same discipline
-            for j in range(k + 1, nc):
-                if a[k][j] == 0:
-                    continue
-                q = a[k][j] // a[k][k]
-                for row in a:
-                    row[j] -= q * row[k]
-                if a[k][j] != 0:
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    restart = True
-                    break
-            if restart:
-                continue
-            # pivot must divide the trailing block; if not, fold the
-            # offending row in and reduce again
-            offender = None
-            p = a[k][k]
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender:
-                    break
-            if offender is None:
-                break
-            for j in range(k, nc):
-                a[k][j] += a[offender][j]
-        result.append(abs(a[k][k]))
-        k += 1
-    result += [0] * (size - len(result))
-    # normalize: each entry divides the next (guaranteed by construction)
-    return tuple(result)
+    m = _as_matrix(m)
+    a = hnf(m)
+    if a and len(a) < len(a[0]):
+        a = hnf(_transpose(a, len(a[0])))
+    size = min(len(m), len(m[0])) if m else 0
+    return _smith(a) + (0,) * (size - len(a))
 
 
 def left_kernel(m) -> IntMatrix:
@@ -463,12 +422,12 @@ def _quotient_invariants(sub: IntMatrix, sub_den: int, amb: IntMatrix, amb_den: 
     """Invariant factors of (amb/amb_den) / (sub/sub_den), both full rank.
 
     Both bases must be upper triangular: then so is the relation matrix X,
-    and det X, the modulus of its Hermite form, is its diagonal product.
+    whose Smith form _smith takes.
     """
     x = _relation_matrix(sub, sub_den, amb, amb_den)
     if any(m[i][j] for m in (amb, x) for i in range(len(m)) for j in range(i)):
         raise ValueError("basis or relation matrix is not upper triangular")
-    return snf(_hnf_mod(x, math.prod(x[i][i] for i in range(len(x)))))
+    return _smith(x)
 
 
 def _as_prime(p) -> int:

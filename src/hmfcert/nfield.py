@@ -473,14 +473,13 @@ class Field(_Frozen):
     def __init__(self, min_poly: tuple[int, ...],
                  embeddings: tuple[tuple[Fraction, Fraction], ...],
                  galois: tuple[tuple[int, ...], ...] | None, degree: int,
-                 _root_cache: dict | None = None, _unit_cache: dict | None = None,
                  _cells: tuple | None = None):
         object.__setattr__(self, "min_poly", min_poly)
         object.__setattr__(self, "embeddings", embeddings)
         object.__setattr__(self, "galois", galois)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_root_cache", {} if _root_cache is None else _root_cache)
-        object.__setattr__(self, "_unit_cache", {} if _unit_cache is None else _unit_cache)
+        object.__setattr__(self, "_root_cache", {})
+        object.__setattr__(self, "_unit_cache", {})
         if _cells is not None:
             object.__setattr__(self, "_cells", _cells)
 

@@ -5,7 +5,8 @@ eigenspaces over F_p with its own small F_p linear algebra, split_indices
 gives the indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L] from determinants,
 three_way_by_solve computes the three congruence quotients with a
 Bareiss solve and determinant each, the middle one in ambient coordinates,
-in_row_span tests lattice membership from a fresh Hermite form, and
+in_row_span tests lattice membership from a fresh Hermite form,
+snf_pivot_search takes Smith forms by row and column pivoting, and
 split_lattice_from_coords makes both Hermite forms of split_lattice from
 the lattice's (V1, V2)-coordinates, the second without reusing the first.
 """
@@ -27,9 +28,89 @@ from hmfcert.lattice import (
     bareiss_det,
     hnf,
     mat_mul,
-    snf,
     split_lattice,
 )
+
+
+def snf_pivot_search(m) -> tuple[int, ...]:
+    """Smith invariant factors by pivot search on unbounded integers: for
+    inputs too large for the minors oracle.
+
+    Returns min(nrows, ncols) entries; trailing zeros mark rank deficiency.
+    """
+    a = [list(map(int, row)) for row in m]
+    if not a or not a[0]:
+        return ()
+    nr, nc = len(a), len(a[0])
+    k = 0
+    size = min(nr, nc)
+    result = []
+    while k < size:
+        # find a nonzero pivot in the trailing block
+        piv = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                if a[i][j] != 0:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i0, j0 = piv
+        a[k], a[i0] = a[i0], a[k]
+        for row in a:
+            row[k], row[j0] = row[j0], row[k]
+        while True:
+            # clear column k: reduce entries modulo the pivot; a nonzero
+            # remainder becomes the new (strictly smaller) pivot
+            restart = False
+            for i in range(k + 1, nr):
+                if a[i][k] == 0:
+                    continue
+                q = a[i][k] // a[k][k]
+                for j in range(k, nc):
+                    a[i][j] -= q * a[k][j]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    restart = True
+                    break
+            if restart:
+                continue
+            # clear row k with column operations, same discipline
+            for j in range(k + 1, nc):
+                if a[k][j] == 0:
+                    continue
+                q = a[k][j] // a[k][k]
+                for row in a:
+                    row[j] -= q * row[k]
+                if a[k][j] != 0:
+                    for row in a:
+                        row[k], row[j] = row[j], row[k]
+                    restart = True
+                    break
+            if restart:
+                continue
+            # pivot must divide the trailing block; if not, fold the
+            # offending row in and reduce again
+            offender = None
+            p = a[k][k]
+            for i in range(k + 1, nr):
+                for j in range(k + 1, nc):
+                    if a[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender:
+                    break
+            if offender is None:
+                break
+            for j in range(k, nc):
+                a[k][j] += a[offender][j]
+        result.append(abs(a[k][k]))
+        k += 1
+    result += [0] * (size - len(result))
+    # normalize: each entry divides the next (guaranteed by construction)
+    return tuple(result)
 
 
 def in_row_span(vec, basis) -> bool:
@@ -87,7 +168,7 @@ def relation_matrix_by_solve(sub, sub_den: int, amb, amb_den: int):
 
 def _invariants_by_solve(sub, sub_den, amb, amb_den):
     x = relation_matrix_by_solve(sub, sub_den, amb, amb_den)
-    return snf(_hnf_mod(x, bareiss_det(x)))
+    return snf_pivot_search(_hnf_mod(x, bareiss_det(x)))
 
 
 def three_way_by_solve(lat: Lattice, s: Split, p: int):

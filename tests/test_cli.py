@@ -48,6 +48,13 @@ class TestRecoverWeightsCommand:
     def test_inconsistent(self, capsys):
         assert run(["recover-weights", "--multiset", "0,1,2,5", "--d", "2"]) == 1
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_d_below_one_rejected(self, capsys, d):
+        assert run(["recover-weights", "--multiset", "4", "--d", d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: d = {d} must be at least 1\n"
+
 
 class TestBggTableCommand:
     def test_text(self, capsys):
@@ -466,6 +473,15 @@ class TestAdjointCheckCommand:
         out = capsys.readouterr().out
         assert "max error" in out and "broken" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_rejected(self, capsys, samples):
+        """Zero draws would report a max error of 0 and pass vacuously."""
+        assert run(["adjoint-check", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: adjoint-check --samples {samples} draws no parameters\n")
+
     def test_seed_reproducible(self, capsys):
         run(["--format", "json", "--seed", "5", "adjoint-check", "--samples", "5"])
         first = capsys.readouterr().out
@@ -542,6 +558,13 @@ class TestClassifyExtensionField:
         assert run(["classify-image", "--p", "3", "--r", "2",
                     "--gens", "1,1,0,1;1,0,9,1"]) == 1
         assert "encoded elements 0..8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_degree_below_one_rejected(self, capsys, r):
+        assert run(["classify-image", "--p", "5", "--r", r, "--gens", "1,1,0,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: r = {r} must be at least 1\n"
 
     def test_prime_field_entries_reduce(self, capsys):
         assert run(["classify-image", "--p", "7", "--gens", "8,8,7,8;-6,0,1,1"]) == 0

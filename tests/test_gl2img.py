@@ -64,6 +64,11 @@ class TestFq:
         with pytest.raises(ValueError):
             Fq(6)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_degree_below_one_rejected(self, r):
+        with pytest.raises(ValueError, match=f"^r = {r} must be at least 1$"):
+            Fq(5, r)
+
     def test_subfield_size(self):
         F = Fq(3, 2)
         assert F.subfield_size([0, 1, 2]) == 3
@@ -478,6 +483,11 @@ class TestRecoverFromSubsetSums:
         with pytest.raises(Inconsistent):
             recover_from_subset_sums([1, 2, 3], 2)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_rejected(self, d):
+        with pytest.raises(Inconsistent, match=f"^d = {d} must be at least 1$"):
+            recover_from_subset_sums([4], d)
+
     def test_left_inverse_exhaustive_small(self):
         # all valid part multisets for a <= 8, d <= 3 (full range in acceptance)
         from itertools import combinations_with_replacement
@@ -519,8 +529,11 @@ class TestTameChar:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Fq(3, 2, [2.9, 2, 1]), "modulus coefficient must be an integer, not 2.9"),
+    (lambda: Fq(5, 2.0), "r must be an integer, not 2.0"),
+    (lambda: Fq(5.0), "p must be an integer, not 5.0"),
     (lambda: recover_from_subset_sums([1.9, 2, 4, 5], 2),
      "subset sum must be an integer, not 1.9"),
+    (lambda: recover_from_subset_sums([1, 2, 4, 5], 2.0), "d must be an integer, not 2.0"),
     (lambda: tensor_induce([((1, 0), (0, 1))] * 2, (1.7, 0.2)),
      "perm entry must be an integer, not 1.7"),
 ])

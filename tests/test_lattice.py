@@ -49,6 +49,7 @@ from lattice_oracles import (
     in_row_span,
     localized_module_nonzero,
     relation_matrix_by_solve,
+    snf_pivot_search,
     split_indices,
     split_lattice_from_coords,
     three_way_by_solve,
@@ -145,6 +146,44 @@ class TestHnfSnf:
         assert snf([]) == ()
         assert snf([[0, 0], [0, 0]]) == (0, 0)
         assert snf([[0, 0, 0]]) == (0,)
+
+    @pytest.mark.parametrize("call", [snf, hnf])
+    def test_non_integer_entry_rejected(self, call):
+        """A float entry is an error, not truncated to an integer."""
+        with pytest.raises(ValueError, match=r"^matrix entry must be an integer, not 2\.5$"):
+            call([[2.5, 0], [0, 1]])
+        assert call([[Fraction(4, 2), 0], [0, 1]]) == call([[2, 0], [0, 1]])
+
+    def test_snf_against_pivot_search(self, monkeypatch):
+        """snf equals the pivot-search oracle on square, upper-triangular,
+        singular and rectangular matrices with n <= 16.  The triangular
+        diagonals have square factors, so _smith takes several passes."""
+        passes = []
+        real = lattice._hnf_mod
+
+        def counting(m, det):
+            passes[-1] += 1
+            return real(m, det)
+
+        monkeypatch.setattr(lattice, "_hnf_mod", counting)
+        rng = random.Random(22)
+        for trial in range(160):
+            n, kind = rng.randint(1, 16), trial % 4
+            if kind == 0:
+                m = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            elif kind == 1:
+                m = [[0] * i + [rng.choice((1, 2, 4, 8, 9, 12, 18, 25, 27, 36))]
+                     + [rng.randint(-40, 40) for _ in range(n - i - 1)] for i in range(n)]
+            elif kind == 2:
+                m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+                m[-1] = [2 * a - 3 * b for a, b in zip(m[0], m[rng.randrange(n)])]
+            else:
+                nc = rng.randint(1, 16)
+                m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(nc)]
+                     for _ in range(n)]
+            passes.append(0)
+            assert snf(m) == snf_pivot_search(m), m
+        assert max(passes[1::4]) > 1
 
     def test_bareiss_det(self):
         assert bareiss_det([[1, 2], [3, 4]]) == -2
@@ -363,6 +402,32 @@ def test_quotient_invariants_rejects_non_sublattice():
     with pytest.raises(ValueError, match="sublattice is not contained in ambient lattice"):
         _quotient_invariants(((1, 1), (0, 2)), 1, ((2, 0), (0, 1)), 1)
     assert _quotient_invariants(((2, 0), (0, 3)), 1, ((1, 0), (0, 1)), 1) == (1, 6)
+
+
+def test_quotient_invariants_against_pivot_search():
+    """The three quotients of split_lattice's pieces, as congruence_modules
+    forms them, against the pivot-search Smith form of the relation matrix."""
+    rng = random.Random(23)
+    for trial in range(40):
+        n = rng.randint(2, 12)
+        while True:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if bareiss_det(rows):
+                break
+        for i in rng.sample(range(n), rng.randint(0, 2)):
+            rows[i] = [rng.choice((4, 9, 25)) * x for x in rows[i]]
+        lat = Lattice(tuple(map(tuple, rows)), n)
+        d1 = rng.randint(1, n - 1)
+        s = coordinate_split(n, d1) if trial % 2 else _oblique_split(rng, n, d1)
+        pc = split_lattice(lat, s)
+        den = math.lcm(pc.l1_denom, pc.l2_denom)
+        c1, c2 = den // pc.l1_denom, den // pc.l2_denom
+        mid = (tuple(tuple(c1 * x for x in row) + (0,) * s.dim2 for row in pc.l1)
+               + tuple((0,) * s.dim1 + tuple(c2 * x for x in row) for row in pc.l2))
+        for q in ((pc.l1, pc.l1_denom, pc.l1_proj, pc.l1_proj_denom),
+                  (mid, den, pc.basis, pc.basis_denom),
+                  (pc.l2, pc.l2_denom, pc.l2_proj, pc.l2_proj_denom)):
+            assert _quotient_invariants(*q) == snf_pivot_search(relation_matrix_by_solve(*q))
 
 
 def test_quotient_invariants_rejects_non_triangular():
