@@ -398,28 +398,11 @@ def classify_projective_image(group: FqMatrixGroup,
     for name, ref in (("A4", _A4_STATS), ("S4", _S4_STATS), ("A5", _A5_STATS)):
         if stats == ref:
             return Classification(name, None, n, tf)
-    # dihedral: a cyclic normal subgroup of index 2
-    if n % F.p and n % 2 == 0 and _is_projectively_dihedral(F, proj, orders, n):
+    # dihedral: a cyclic subgroup of index 2, normal as every subgroup of
+    # index 2 is, so an element of order n / 2 suffices
+    if n % F.p and n % 2 == 0 and n // 2 in orders.values():
         return Classification("Dihedral", n // 2, n, tf)
     return Classification("LargeIntermediate", None, n, tf)
-
-
-def _is_projectively_dihedral(F, proj, orders, n) -> bool:
-    half = n // 2
-    candidates = [m for m, o in orders.items() if o == half]
-    for x in candidates:
-        cyc = set()
-        cur = proj_canonical(F, mat_id2(F))
-        for _ in range(half):
-            cyc.add(cur)
-            cur = proj_canonical(F, mat_mul2(F, cur, x))
-        normal = all(
-            proj_canonical(F, mat_mul2(F, mat_mul2(F, g, c), mat_inv2(F, g))) in cyc
-            for g in proj for c in cyc
-        )
-        if normal:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

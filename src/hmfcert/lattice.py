@@ -628,10 +628,10 @@ def _split_eigensystems(ops_restricted, dim):
 def find_congruences(ops, lat: Lattice, s: Split, p: int) -> CongruenceSearch:
     """Congruent integer eigensystem pairs across a stable split, mod p.
 
-    Each operator must preserve the lattice and both subspaces, and the
-    operators must commute pairwise.  Eigensystems whose eigenvalues are
-    not rational integers are counted in extension_needed rather than
-    enumerated.
+    Each operator is an integer matrix that must preserve the lattice and
+    both subspaces, and the operators must commute pairwise.  Eigensystems
+    whose eigenvalues are not rational integers are counted in
+    extension_needed rather than enumerated.
     """
     return _find_congruences(ops, lat, s, (p,))[0]
 
@@ -642,7 +642,8 @@ def _find_congruences(ops, lat: Lattice, s: Split, primes) -> tuple[CongruenceSe
     The checks, the eigensystems and the split do not depend on p: each is made once.
     """
     primes = [_as_prime(p) for p in primes]
-    ops = [_as_matrix(op) for op in ops]
+    ops = [tuple(tuple(_as_int(x, "operator entry") for x in row) for row in op)
+           for op in ops]
     n = lat.ambient_dim
     if any(len(op) != n or any(len(row) != n for row in op) for op in ops):
         raise ValueError(f"operator is not {n}x{n}")

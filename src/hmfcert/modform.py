@@ -343,9 +343,16 @@ def load_qexpansion(path, field: Field, weight: Weight, unit: FieldElem) -> "QEx
         payload = json.load(fh)
     coeffs = {}
     for coords, value in payload["coefficients"]:
-        xi = field.element([Fraction(str(c)) for c in coords])
-        coeffs[xi] = Fraction(str(value))
+        xi = field.element([_as_rational(c, "q-expansion coordinate") for c in coords])
+        coeffs[xi] = _as_rational(value, "q-expansion value")
     return QExpansion(field, weight, payload.get("ideal_label", ""), coeffs, unit)
+
+
+def _as_rational(x, what: str) -> Fraction:
+    """x as a Fraction, if it is an int (not a bool) or a string such as "p/q"."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f'{what} must be an integer or a "p/q" string, not {x!r}')
+    return Fraction(x)
 
 
 class QExpansion:

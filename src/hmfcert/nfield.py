@@ -30,18 +30,18 @@ per subset, tried by exact division.
 
 The certified kernel is symmetrized_norm: the integer
 prod_{sigma in G} ( prod_tau emb_{sigma(tau)}(eps)^{e_tau} - 1 ),
-and its two-product form symmetrized_difference_norm.  Both share one
-body, exact where the field is quadratic; elsewhere the integer comes from
-the interval kernel _certified_product.  The kernel takes a _PowerTable
-of intervals (a function of the bits) and a permutation group on their
-indices, so the dihedral criterion runs on it too: the 2d real embeddings
-of K = F(sqrt(delta)) under C_2 wr G, with J = every position.  _certify,
-the one precision-escalation loop, doubles the bits from 64 up to the cap
-until the interval pins an integer.  The product is a rational integer,
-since eps is an algebraic integer and the product is invariant under G,
-so an interval narrower than 1/2 proves the one integer inside it, 0
-included: a zero is proven as a non-zero value is, from the same
-enclosure and the same data.
+and its two-product form symmetrized_difference_norm.  At every degree,
+quadratic fields included, the integer comes from the interval kernel
+_certified_product, and DyadicInterval.power raises intervals by squaring.
+The kernel takes a _PowerTable of intervals (a function of the bits) and a
+permutation group on their indices, so the dihedral criterion runs on it
+too: the 2d real embeddings of K = F(sqrt(delta)) under C_2 wr G, with
+J = every position.  _certify, the one precision-escalation loop, doubles
+the bits from 64 up to the cap until the interval pins an integer.  The
+product is a rational integer, since eps is an algebraic integer and the
+product is invariant under G, so an interval narrower than 1/2 proves the
+one integer inside it, 0 included: a zero is proven as a non-zero value
+is, from the same enclosure and the same data.
 
 A certificate evaluates both forms for every subset J on the same unit,
 so the per-unit work is done once.  The field keeps, beside its root
@@ -269,12 +269,17 @@ class DyadicInterval:
         return _interval(num // self.hi_m, -(-num // self.lo_m), bits)
 
     def power(self, e: int, bits: int) -> "DyadicInterval":
+        """self^e by binary square-and-multiply, from the leading bit of |e|
+        down, rounded to bits after every product; a negative e inverts first."""
         if e == 0:
             return _interval(1, 1, 0)
         base = self if e > 0 else self.inverse(bits)
+        n = abs(e)
         out = base
-        for _ in range(abs(e) - 1):
-            out = (out * base).round(bits)
+        for k in reversed(range(n.bit_length() - 1)):
+            out = (out * out).round(bits)
+            if n >> k & 1:
+                out = (out * base).round(bits)
         return out
 
     def sqrt(self, bits: int) -> "DyadicInterval":
@@ -917,10 +922,6 @@ def _symmetrization_group(fld: Field):
     return tuple(itertools.permutations(range(fld.degree)))
 
 
-def _conjugate_quadratic(a: FieldElem) -> FieldElem:
-    return a.field.element([trace(a)]) - a
-
-
 def symmetrized_norm(eps: FieldElem, e, precision_cap: int = DEFAULT_PRECISION_CAP):
     """Certified integer prod_{sigma in G}(prod_tau emb_{sigma(tau)}(eps)^e_tau - 1).
 
@@ -929,8 +930,10 @@ def symmetrized_norm(eps: FieldElem, e, precision_cap: int = DEFAULT_PRECISION_C
     the true norm; divisibility remains a sound exclusion certificate).
     eps must be a unit: an algebraic integer of norm +-1.
 
-    Returns a CertifiedInteger, the Zero sentinel when the integer is 0,
-    or raises Indeterminate when no integer is pinned at the cap.
+    The integer comes from the interval kernel at every degree, quadratic
+    fields included.  Returns a CertifiedInteger, the Zero sentinel when
+    the integer is 0, or raises Indeterminate when no integer is pinned at
+    precision_cap bits.
     """
     fld = eps.field
     e = tuple(_as_int(x, "exponent") for x in e)
@@ -940,7 +943,8 @@ def symmetrized_norm(eps: FieldElem, e, precision_cap: int = DEFAULT_PRECISION_C
     unit = eps._unit_memo
     if not unit.is_unit:
         raise ValueError("symmetrized_norm requires a unit (an algebraic integer of norm +-1)")
-    return _symmetrized(unit, e, range(d), fld, _symmetrization_group(fld), precision_cap)
+    return _certified_product(unit.table, e, range(d), _symmetrization_group(fld),
+                              precision_cap)
 
 
 def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
@@ -962,33 +966,7 @@ def symmetrized_difference_norm(eps: FieldElem, e_on, e_off, subset,
         raise ValueError("requires a unit (an algebraic integer of norm +-1)")
     exps = [_as_int(e_on[t] if t in subset else e_off[t], "exponent")
             for t in range(fld.degree)]
-    return _symmetrized(unit, exps, subset, fld, group, precision_cap)
-
-
-def _symmetrized(unit, e, subset, fld, group, cap):
-    """prod_{g in group}(prod_{t in J} emb_{g(t)}(eps)^e_t
-                          - prod_{t not in J} emb_{g(t)}(eps)^e_t), J = subset.
-
-    unit is the _UnitMemo of eps.  Exact when the field is quadratic, where
-    the product is the norm of a - b; otherwise _certified_product on the
-    tables of eps's d embeddings.
-    """
-    eps = unit.eps
-    if fld.degree == 2:
-        parts = (eps, _conjugate_quadratic(eps))
-        a = b = fld.one
-        for t in range(2):
-            if t in subset:
-                a = a * parts[t] ** e[t]
-            else:
-                b = b * parts[t] ** e[t]
-        val = norm(a - b)
-        if val == 0:
-            return ZERO
-        assert val.denominator == 1
-        return CertifiedInteger(int(val), Fraction(0))
-
-    return _certified_product(unit.table, e, subset, group, cap)
+    return _certified_product(unit.table, exps, subset, group, precision_cap)
 
 
 class _PowerTable:
@@ -1144,6 +1122,10 @@ def _certify(evaluate, cap: int) -> CertifiedInteger | Zero:
 
 # ---------------------------------------------------------------------------
 # orbit reduction for d = 2
+
+
+def _conjugate_quadratic(a: FieldElem) -> FieldElem:
+    return a.field.element([trace(a)]) - a
 
 
 def _ratio_compare(x: FieldElem, y: FieldElem) -> int:

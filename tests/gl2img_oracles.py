@@ -6,12 +6,24 @@ the result normal by conjugating every element of the subgroup.
 li_check_search builds on it and searches GL2 of the ambient field for a
 conjugator also when q' = q.  Both are slow (about 0.7 s on SL2(F_11))
 and are meant for small groups only.
+
+is_projectively_dihedral decides dihedral images without using that every
+subgroup of index 2 is normal: it checks each cyclic subgroup of index 2 for
+normality by conjugating every element.
 """
 
 import itertools
 import math
 
-from hmfcert.gl2img import CLOSURE_CAP, FqMatrixGroup, mat_det2, mat_inv2, mat_mul2
+from hmfcert.gl2img import (
+    CLOSURE_CAP,
+    FqMatrixGroup,
+    mat_det2,
+    mat_id2,
+    mat_inv2,
+    mat_mul2,
+    proj_canonical,
+)
 
 
 def derived_subgroup_all_commutators(F, elems, gens):
@@ -96,3 +108,23 @@ def li_check_search(group, cap=CLOSURE_CAP):
         if ok:
             return q_cand
     return None
+
+
+def is_projectively_dihedral(F, proj, orders, n) -> bool:
+    """Whether the projective group proj of order n has a cyclic normal
+    subgroup of index 2; orders maps each element of proj to its order."""
+    half = n // 2
+    candidates = [m for m, o in orders.items() if o == half]
+    for x in candidates:
+        cyc = set()
+        cur = proj_canonical(F, mat_id2(F))
+        for _ in range(half):
+            cyc.add(cur)
+            cur = proj_canonical(F, mat_mul2(F, cur, x))
+        normal = all(
+            proj_canonical(F, mat_mul2(F, mat_mul2(F, g, c), mat_inv2(F, g))) in cyc
+            for g in proj for c in cyc
+        )
+        if normal:
+            return True
+    return False

@@ -5,6 +5,11 @@ remainders by Fraction long division, sign variations by Fraction Horner
 at every bisection point.  start_cell turns one of its intervals into the
 dyadic cell that root refinement starts from, the sign of min_poly at the
 lower end included.
+
+quadratic_product computes the symmetrized products of a quadratic field
+exactly, as the norm of a - b, with a and b products of powers of eps and
+its conjugate; symmetrized_norm and symmetrized_difference_norm are checked
+against it.
 """
 
 import math
@@ -17,6 +22,8 @@ from hmfcert.nfield import (
     NotTotallyReal,
     _poly_trim,
     _sign_at,
+    norm,
+    trace,
 )
 
 
@@ -93,3 +100,16 @@ def start_cell(p, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
         return iv.lo_m, iv.lo_m, iv.exp, 0
     return iv.lo_m, iv.hi_m, iv.exp, sign_lo
 
+
+def quadratic_product(eps, e, subset) -> Fraction:
+    """prod over Gal(F/Q) of (prod_{t in J} eps_t^e_t - prod_{t not in J} eps_t^e_t)
+    on a quadratic field, J = subset, as norm(a - b) in the field."""
+    fld = eps.field
+    parts = (eps, fld.element([trace(eps)]) - eps)
+    a = b = fld.one
+    for t in range(2):
+        if t in subset:
+            a = a * parts[t] ** e[t]
+        else:
+            b = b * parts[t] ** e[t]
+    return norm(a - b)

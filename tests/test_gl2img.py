@@ -1,10 +1,15 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
 
-from gl2img_oracles import derived_subgroup_all_commutators, li_check_search
+from gl2img_oracles import (
+    derived_subgroup_all_commutators,
+    is_projectively_dihedral,
+    li_check_search,
+)
 from hmfcert import gl2img
 from hmfcert.gl2img import (
     CapExceeded,
@@ -222,6 +227,49 @@ class TestClassification:
         g = FqMatrixGroup(F, ((0, 1, 1, 0), (1, 0, 0, 4)))
         c = classify_projective_image(g)
         assert (c.kind, c.parameter) == ("Dihedral", 2)
+
+    def test_dihedral_against_normality_oracle(self):
+        # seeded pairs of GL2(F_p): random ones, and Cartan normalizers
+        # (a torus element with an element swapping its eigenlines) conjugated
+        # by a random matrix, so that dihedral images are common
+        rng = random.Random(29)
+        kinds = Counter()
+        even_not_dihedral = 0
+        for i in range(120):
+            p = (2, 3, 5, 7, 11, 13)[i % 6]
+            F = Fq(p)
+
+            def invertible():
+                while True:
+                    m = tuple(rng.randrange(p) for _ in range(4))
+                    if mat_det2(F, m):
+                        return m
+
+            shape = rng.choice(("random", "split", "nonsplit") if p > 2 else ("random", "split"))
+            if shape == "random":
+                gens = (invertible(), invertible())
+            else:
+                a, b = rng.randrange(p), rng.randrange(1, p)
+                if shape == "split":
+                    gens = ((rng.randrange(1, p), 0, 0, b), (0, b, rng.randrange(1, p), 0))
+                else:
+                    ns = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+                    gens = ((a, ns * b % p, b, a), (1, 0, 0, p - 1))
+                h = invertible()
+                gens = tuple(mat_mul2(F, mat_mul2(F, h, g), mat_inv2(F, h)) for g in gens)
+            group = FqMatrixGroup(F, gens)
+            c = classify_projective_image(group)
+            kinds[c.kind] += 1
+            proj = gl2img._projective_group(F, group.closure())
+            n = len(proj)
+            orders = gl2img._proj_element_orders(F, proj)
+            dihedral = n % 2 == 0 and is_projectively_dihedral(F, proj, orders, n)
+            # the element-order test stands in for the normality check on every group
+            assert (n % 2 == 0 and n // 2 in orders.values()) == dihedral, (p, gens)
+            even_not_dihedral += n % 2 == 0 and not dihedral
+            if c.kind in ("Dihedral", "LargeIntermediate"):
+                assert (c.kind == "Dihedral") == bool(n % p and dihedral), (p, gens)
+        assert kinds["Dihedral"] >= 20 and even_not_dihedral >= 20, (kinds, even_not_dihedral)
 
 
 class TestLiCheck:

@@ -747,6 +747,13 @@ class TestFindCongruences:
         with pytest.raises(ValueError, match="operator is not 2x2"):
             find_congruences([((1, 0), (0, 1)), op], lat, coordinate_split(2, 1), 5)
 
+    @pytest.mark.parametrize("entry", [1.5, True])
+    def test_operator_entry_is_an_integer(self, entry):
+        lat = Lattice(((1, 1), (0, 5)), 2)
+        with pytest.raises(ValueError,
+                           match=f"^operator entry must be an integer, not {entry!r}$"):
+            find_congruences([[[entry, 0], [0, 1]]], lat, coordinate_split(2, 1), 5)
+
     def test_not_stable(self):
         lat = Lattice(((1, 1), (0, 5)), 2)
         with pytest.raises(NotStableOrSplit):

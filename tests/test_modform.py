@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -283,3 +284,19 @@ class TestQExpansionLoader:
         xi = q5.element([3, 1])
         assert qe.c_of_ideal(xi) is not None
         assert qe.coefficient_of(q5.element([1])).exact() == 1
+
+    @pytest.mark.parametrize("coords, value, message", [
+        ([1.5, "0"], "1", 'q-expansion coordinate must be an integer or a "p/q" string, not 1.5'),
+        (["1", 0.1], "1", 'q-expansion coordinate must be an integer or a "p/q" string, not 0.1'),
+        ([True, 0], "1", 'q-expansion coordinate must be an integer or a "p/q" string, not True'),
+        (["1", "0"], 0.5, 'q-expansion value must be an integer or a "p/q" string, not 0.5'),
+        ([1, 0], True, 'q-expansion value must be an integer or a "p/q" string, not True'),
+    ])
+    def test_float_and_bool_rejected(self, tmp_path, q5, eps0, coords, value, message):
+        import json
+        from hmfcert.modform import load_qexpansion
+
+        path = tmp_path / "qexp.json"
+        path.write_text(json.dumps({"coefficients": [[coords, value]]}))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_qexpansion(str(path), q5, make_weight([4, 2]), eps0)

@@ -564,12 +564,15 @@ class FracInterval:
         return FracInterval(_down(1 / self.hi, bits), _up(1 / self.lo, bits))
 
     def power(self, e, bits):
+        """Square-and-multiply from the leading bit of |e|, rounded after each product."""
         if e == 0:
             return FracInterval(1, 1)
         base = self if e > 0 else self.inverse(bits)
         out = base
-        for _ in range(abs(e) - 1):
-            out = (out * base).round(bits)
+        for bit in bin(abs(e))[3:]:
+            out = (out * out).round(bits)
+            if bit == "1":
+                out = (out * base).round(bits)
         return out
 
     def sqrt(self, bits):
@@ -641,7 +644,7 @@ class TestIntegerIntervalsAgainstFractions:
         assert ix.center == (rx.lo + rx.hi) / 2
         assert ix.straddles_zero() == (rx.lo <= 0 <= rx.hi)
 
-    @given(dyadic_pairs, st.integers(0, 120), st.integers(-5, 5))
+    @given(dyadic_pairs, st.integers(0, 120), st.integers(-40, 40))
     @settings(max_examples=200, deadline=None)
     def test_inverse_and_power(self, x, bits, e):
         ix, rx = DyadicInterval(*x), FracInterval(*x)
@@ -655,6 +658,16 @@ class TestIntegerIntervalsAgainstFractions:
         else:
             assert _same(ix.inverse(bits), rx.inverse(bits))
         assert _same(ix.power(e, bits), rx.power(e, bits))
+
+    @given(dyadic_pairs, st.integers(0, 120), st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_power_contains_exact_powers(self, x, bits, e):
+        ix = DyadicInterval(*x)
+        if e < 0 and ix.straddles_zero():
+            return
+        got = ix.power(e, bits)
+        for v in (ix.lo, ix.center, ix.hi):
+            assert got.contains(v ** e)
 
     @given(st.fractions(), st.integers(0, 200))
     @settings(max_examples=200, deadline=None)
@@ -743,7 +756,7 @@ class TestPinnedCertificates:
         fld = make_field([1, -4, 0, 1])
         eps = fld.gen * fld.gen
         assert symmetrized_norm(eps, (5, 3, 1)) == CertifiedInteger(
-            -3693541, Fraction(7087767297, 2**61))
+            -3693541, Fraction(28351304525, 2**63))
         assert symmetrized_difference_norm(eps, (5, 3, 1), (0, -1, -3), {1}) == CertifiedInteger(
             12845056, Fraction(440416007, 2**61))
 
@@ -1142,6 +1155,40 @@ class TestExactFormulaOracles:
                 base = r ** sum(e_on) - 1
                 want = ZERO if base == 0 else base ** order
                 assert _value_or_zero(symmetrized_norm(eps, e_on)) == want, (r, e_on)
+
+    def test_quadratic_exact_norm(self):
+        # over Q(sqrt D) the product is norm(a - b) in the field; with
+        # N(eps) = +-1, a = b when the exponents cancel, so zeros are drawn too
+        rng = random.Random(24)
+        units = {}
+        for D in (2, 3, 5, 6, 7, 13, 17):
+            u = fundamental_unit_quadratic(D)
+            units[D] = (u, totally_positive_fundamental(u), u.inverse())
+        subsets = ((), (0,), (1,), (0, 1))
+        cases = zeros = 0
+        for i in range(224):
+            D = sorted(units)[i % len(units)]
+            eps = rng.choice(units[D])
+            subset = subsets[i // len(units) % 4]
+            shape = rng.random()
+            if i >= 217:
+                e = (2001, 1)
+            elif shape < 0.2:
+                k = rng.randint(-30, 30)
+                e = (k, k if len(subset) != 1 else -k)
+            elif shape < 0.6:
+                e = (rng.randint(-30, 30), rng.randint(-30, 30))
+            else:
+                e = (rng.randint(-30, 300), rng.randint(-30, 300))
+            want = nfield_oracles.quadratic_product(eps, e, subset)
+            want = ZERO if want == 0 else want
+            got = symmetrized_difference_norm(eps, e, e, subset)
+            assert _value_or_zero(got) == want, (D, eps, e, subset)
+            if subset == (0, 1):
+                assert _value_or_zero(symmetrized_norm(eps, e)) == want, (D, eps, e)
+            cases += 1
+            zeros += want is ZERO
+        assert cases >= 200 and zeros >= 20, (cases, zeros)
 
 
 # (min_poly, Galois data, unit coordinates): units from a subfield, and the
