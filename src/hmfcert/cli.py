@@ -74,8 +74,15 @@ def _fraction(x) -> Fraction:
     raise UsageError(f"cannot parse rational from {x!r}")
 
 
-def _element(fld: nfield.Field, coeffs) -> nfield.FieldElem:
-    return fld.element([_fraction(c) for c in coeffs])
+def _list(x, where: str) -> list:
+    """x, if it is a list."""
+    if not isinstance(x, list):
+        raise UsageError(f"{where} is not a list")
+    return x
+
+
+def _element(fld: nfield.Field, coeffs, where: str) -> nfield.FieldElem:
+    return fld.element([_fraction(c) for c in _list(coeffs, where)])
 
 
 def load_config(path: str) -> dict:
@@ -84,20 +91,25 @@ def load_config(path: str) -> dict:
     _check_keys(cfg, _TOP_KEYS, "config")
     if "field" not in cfg or "weight" not in cfg:
         raise UsageError("config requires 'field' and 'weight' blocks")
-    _check_keys(cfg["field"], _FIELD_KEYS, "field")
-    _check_keys(cfg["weight"], _WEIGHT_KEYS, "weight")
+    _check_keys(cfg["field"], _FIELD_KEYS, "field", required={"min_poly"})
+    _check_keys(cfg["weight"], _WEIGHT_KEYS, "weight", required={"k"})
     _check_keys(cfg.get("level", {}), _LEVEL_KEYS, "level")
     _check_keys(cfg.get("criteria", {}), _CRITERIA_KEYS, "criteria")
     _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "output")
-    for kd in cfg.get("criteria", {}).get("quadratic_extensions", []):
-        _check_keys(kd, _QEXT_KEYS, "quadratic_extensions entry")
+    for kd in _list(cfg.get("criteria", {}).get("quadratic_extensions", []),
+                    "criteria quadratic_extensions"):
+        _check_keys(kd, _QEXT_KEYS, "quadratic_extensions entry", required={"delta"})
     return cfg
 
 
 def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.CertificationInputs:
-    fld = nfield.make_field(cfg["field"]["min_poly"], cfg["field"].get("galois"))
-    w = weights.make_weight(cfg["weight"]["k"])
-    units = tuple(_element(fld, u) for u in cfg["field"].get("units", []))
+    galois = cfg["field"].get("galois")
+    if galois is not None:
+        galois = [_list(perm, "field galois entry") for perm in _list(galois, "field galois")]
+    fld = nfield.make_field(_list(cfg["field"]["min_poly"], "field min_poly"), galois)
+    w = weights.make_weight(_list(cfg["weight"]["k"], "weight k"))
+    units = tuple(_element(fld, u, "field units entry")
+                  for u in _list(cfg["field"].get("units", []), "field units"))
     level = cfg.get("level", {})
     delta = exact._as_int(level.get("Delta", 1), "level Delta")
     # h_F is checked but not kept: no criterion reads it
@@ -105,17 +117,22 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
         raise ValueError("level h_F must be a positive integer")
     quads = []
     for kd in cfg.get("criteria", {}).get("quadratic_extensions", []):
-        dlt = _element(fld, kd["delta"])
-        kunits = tuple(
-            (_element(fld, a), _element(fld, b)) for a, b in kd.get("units", [])
-        )
+        dlt = _element(fld, kd["delta"], "quadratic_extensions delta")
+        kunits = []
+        for pair in _list(kd.get("units", []), "quadratic_extensions units"):
+            a, b = _list(pair, "quadratic_extensions units entry")
+            kunits.append((_element(fld, a, "quadratic_extensions unit"),
+                           _element(fld, b, "quadratic_extensions unit")))
         quads.append(
-            criteria.QuadExtDescription(delta=dlt, units=kunits,
+            criteria.QuadExtDescription(delta=dlt, units=tuple(kunits),
                                         label=kd.get("label", "K"))
         )
     fibers = tuple(
-        tuple(tuple(exact._as_int(i, "fiber_partitions entry") for i in block) for block in part)
-        for part in cfg.get("criteria", {}).get("fiber_partitions", [])
+        tuple(tuple(exact._as_int(i, "fiber_partitions entry")
+                    for i in _list(block, "fiber_partitions block"))
+              for block in _list(part, "fiber_partitions partition"))
+        for part in _list(cfg.get("criteria", {}).get("fiber_partitions", []),
+                          "criteria fiber_partitions")
     )
     if precision_cap is None:
         precision_cap = exact._as_int(cfg.get("output", {}).get(
@@ -219,11 +236,12 @@ def _cmd_congruence_module(args) -> int:
         cfg = json.load(fh)
     _check_keys(cfg, {"lattice", "split", "p", "ops"}, "congruence-module config",
                 required={"lattice", "split", "p"})
-    if not cfg["lattice"]:
+    rows = [_list(row, "congruence-module lattice row")
+            for row in _list(cfg["lattice"], "congruence-module lattice")]
+    if not rows:
         raise UsageError("congruence-module 'lattice' has no rows")
     lat = lattice.Lattice(tuple(tuple(exact._as_int(x, "congruence-module lattice entry")
-                                      for x in row) for row in cfg["lattice"]),
-                          len(cfg["lattice"][0]))
+                                      for x in row) for row in rows), len(rows[0]))
     n, sp = lat.ambient_dim, cfg["split"]
     if isinstance(sp, int) and not isinstance(sp, bool):
         if not 0 < sp < n:

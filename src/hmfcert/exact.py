@@ -1,14 +1,16 @@
 """Exact kernels shared across hmfcert: fraction-free integer elimination,
-characteristic polynomials and dense polynomial arithmetic.
+characteristic polynomials, dense polynomial arithmetic and Sturm chains.
 
 bareiss_det and _solve are the integer elimination core of lattice, and
 nfield clears denominators and calls them for norms and inverses.
-_charpoly gives lattice the eigenvalue candidates of its operators and
-nfield the integrality test of its units.  The
-polynomial helpers work on dense lists, low degree first, over any
-coefficient ring: nfield multiplies and reduces field elements with them,
-gl2img builds its F_q tables, modform its complex local factors, and
-lattice tests its integer root candidates.  _as_int reads caller data
+_charpoly gives lattice the integer characteristic polynomial of each
+operator and nfield the integrality test of its units.  The polynomial
+helpers work on dense lists, low degree first, over any coefficient ring:
+nfield multiplies and reduces field elements with them, gl2img builds its
+F_q tables and modform its complex local factors.  The integer Sturm chain
+and the Horner sign _sign_at count real roots: nfield isolates the roots
+of a field polynomial in dyadic cells, lattice the integer roots of a
+characteristic polynomial in integer ones.  _as_int reads caller data
 as integers, and _Frozen makes the fields of a plain record read-only.
 The module imports nothing from hmfcert, so each of those modules can use
 it without loading another.
@@ -16,6 +18,7 @@ it without loading another.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -96,15 +99,16 @@ def _solve(a, b) -> tuple[int, list[list[int]]]:
     return prev, [row[n:] for row in rows]
 
 
-def _charpoly(m) -> list[Fraction]:
+def _charpoly(m) -> list:
     """Characteristic polynomial det(xI - M), low degree first, exact.
 
     Berkowitz's division-free recursion over the leading principal blocks:
     bordering the block A_k by column C, row R and corner a multiplies its
     polynomial by the Toeplitz matrix of 1, -a, -RC, -RAC, ..., -RA^(k-1)C.
+    Seeded with the int 1, an integer M gives int coefficients.
     """
     n = len(m)
-    poly = [Fraction(1)]  # high degree first
+    poly = [1]  # high degree first
     for k in range(n):
         t = [1, -m[k][k]]
         v = [m[i][k] for i in range(k)]
@@ -145,3 +149,43 @@ def _poly_eval(p, x):
     for c in reversed(p):
         out = out * x + c
     return out
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _sign_at(p, m: int, exp: int) -> int:
+    """Sign of p(m / 2^exp) for integer p, by Horner on 2^(exp*d) * p(m / 2^exp)."""
+    acc = p[-1]
+    for k, c in enumerate(reversed(p[:-1]), 1):
+        acc = acc * m + (c << (exp * k))
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(p) -> list[list[int]]:
+    """p, p', then each -(a rem b) of the last two, divided by its content.
+
+    a rem b is taken as s*a - c*x^k*b with s > 0, one leading term at a
+    time, so every member is a positive multiple of the rational Sturm
+    chain's and has its signs.  The last member is a multiple of gcd(p, p').
+    """
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        a, b = chain[-2], chain[-1]
+        while len(a) >= len(b):
+            g = math.gcd(a[-1], b[-1])
+            c, s = a[-1] // g, b[-1] // g
+            if s < 0:
+                c, s = -c, -s
+            k = len(a) - len(b)
+            a = [s * x for x in a]
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+            _poly_trim(a)
+        if not a:
+            return chain
+        g = math.gcd(*a)
+        chain.append([-x // g for x in a])

@@ -66,16 +66,16 @@ class Fq:
         self.p = p
         self.r = r
         self.q = q
-        if r == 1:
-            self.modulus = (0, 1)
-        elif modulus is not None:
-            self.modulus = tuple(_as_int(c, "modulus coefficient") % p for c in modulus)
-            if len(self.modulus) != r + 1 or self.modulus[-1] != 1:
+        if modulus is not None:
+            modulus = tuple(_as_int(c, "modulus coefficient") % p for c in modulus)
+            if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree r")
-            if not _poly_is_irreducible(list(self.modulus), p):
+            # at r = 1 every monic linear modulus x - a gives F_p itself
+            if r > 1 and not _poly_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
+            self.modulus = modulus
         else:
-            self.modulus = self._find_modulus(p, r)
+            self.modulus = (0, 1) if r == 1 else self._find_modulus(p, r)
         self._build_tables()
 
     @staticmethod

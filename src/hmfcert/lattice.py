@@ -9,10 +9,12 @@ through hnf, or through _hnf_mod (modulo the determinant) when the matrix
 is square and nonsingular, and every Smith form through _smith, which
 repeats _hnf_mod on transposes.  A rational lattice is an integer matrix
 with one common denominator.  fractions.Fraction appears only at the Split
-input, whose bases are cleared to integers once, and in the eigenvalue
-search of find_congruences, which works with operators restricted to those bases.
-The Bareiss determinant and _solve live in exact, which the number-field
-module shares for norms and inverses.
+input, whose bases are cleared to integers once, in det_rational and in
+disc_pairing.  find_congruences works on integers in ambient coordinates:
+the integer roots of each operator's characteristic polynomial come from
+the integer Sturm chain, and an eigenspace inside span(w) is a left kernel
+of w*op - lam*w.  The Bareiss determinant, _solve, _charpoly and the Sturm
+chain live in exact, which the number-field module shares.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _as_int, _charpoly, _poly_eval, _solve, bareiss_det
+from .exact import _as_int, _charpoly, _sign_at, _solve, _sturm_chain, bareiss_det
 from .primes import is_prime
 
 
@@ -253,20 +255,6 @@ def left_kernel(m) -> IntMatrix:
     h, u = hnf_with_transform(m)
     rank = len(h)
     return _as_matrix(u[rank:])
-
-
-def _in_hnf_span(vec, h) -> bool:
-    """Integer membership of vec in the row span of the Hermite form h."""
-    v = list(map(int, vec))
-    ncols = len(v)
-    for row in h:
-        col = next(j for j in range(ncols) if row[j] != 0)
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        for j in range(ncols):
-            v[j] -= q * row[j]
-    return all(x == 0 for x in v)
 
 
 class Lattice(namedtuple("Lattice", "basis ambient_dim")):
@@ -540,44 +528,47 @@ def disc_pairing(gram, d: int) -> DiscPairing:
 # eigensystems and congruence detection
 
 
-def _integer_roots(coeffs: list[Fraction]) -> list[int]:
-    """All integer roots (with multiplicity ignored) of a rational poly."""
-    denom = math.lcm(1, *(c.denominator for c in coeffs))
-    ic = [int(c * denom) for c in coeffs]
-    while ic and ic[-1] == 0:
-        ic.pop()
-    if not ic:
-        return []
-    # 0 is a root when x divides; the other roots divide the lowest nonzero coefficient
-    roots = [0] if ic[0] == 0 else []
-    while ic[0] == 0:
-        ic = ic[1:]
-    c0 = abs(ic[0])
-    cands = set()
-    for f in range(1, int(math.isqrt(c0)) + 1):
-        if c0 % f == 0:
-            cands.update((f, -f, c0 // f, -(c0 // f)))
-    for r in sorted(cands):
-        if _poly_eval(ic, r) == 0:
-            roots.append(r)
-    return sorted(roots)
+def _integer_roots(p) -> list[int]:
+    """The distinct integer roots, ascending, of the integer polynomial p.
 
-
-def _restrict(op, basis):
-    """Matrix C of the operator on span(basis) in that basis: C*basis = basis*op.
-
-    Solved on the pivot columns of the basis, then checked on all columns.
+    p over the primitive part of its Sturm chain's last member, a multiple
+    of gcd(p, p'), is its squarefree part s.  The cells (lo, hi] of (-B, B],
+    B = 1 + max |c_i|, in which s has a root by Sturm's count (Basu, Pollack
+    & Roy, Thm 2.50), are halved down to width 1: hi is a root when s(hi) = 0.
+    The cost grows with log |root|, not with the constant term.
     """
-    b, _ = _scale_to_int(basis)
-    o, o_den = _scale_to_int(op)
-    img = mat_mul(b, o)  # = o_den * C * b
-    cols = [next(j for j, x in enumerate(row) if x) for row in hnf(b)]
-    d, y = _solve([[row[j] for row in b] for j in cols],
-                  [[row[j] for row in img] for j in cols])
-    c = _transpose(y, len(b))
-    if mat_mul(c, b) != tuple(tuple(d * x for x in row) for row in img):
-        raise NotStable("operator does not preserve the subspace")
-    return tuple(tuple(Fraction(x, d * o_den) for x in row) for row in c)
+    if len(p) < 2:
+        return []
+    chain = _sturm_chain(p)
+    g = chain[-1]
+    if len(g) > 1:
+        g, k, s = [c // math.gcd(*g) for c in g], len(g), []
+        p = list(p)
+        for i in range(len(p) - k, -1, -1):  # long division, exact by Gauss's lemma
+            s.append(p[i + k - 1] // g[-1])
+            p[i:i + k] = [x - s[-1] * y for x, y in zip(p[i:i + k], g)]
+        p = s[::-1]
+        chain = _sturm_chain(p)
+
+    def variations(m):
+        signs = [v for v in (_sign_at(q, m, 0) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in p[:-1])
+    cells = [(-bound, bound, variations(-bound), variations(bound))]
+    roots = []
+    while cells:
+        lo, hi, v_lo, v_hi = cells.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not _sign_at(p, hi, 0):
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        cells += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return roots
 
 
 class Eigensystem(namedtuple("Eigensystem", "values dim")):
@@ -594,26 +585,25 @@ class CongruenceSearch(namedtuple(
     __slots__ = ()
 
 
-def _split_eigensystems(ops_restricted, dim):
-    """Common integer eigensystems of commuting rational matrices.
+def _split_eigensystems(ops, roots, w):
+    """Common integer eigensystems of commuting integer matrices on span(w).
 
-    Returns (systems, extension_dim) where extension_dim counts dimensions
-    lost to eigenvalues outside the rational integers.
+    roots holds the integer roots of each operator's characteristic
+    polynomial.  The eigenspace of op for lam inside span(w) is y*w for y
+    in the left kernel of w*op - lam*w.  Returns (systems, extension_dim)
+    where extension_dim counts dimensions lost to eigenvalues outside the
+    rational integers.
     """
-    spaces = [(_identity(dim), ())]
+    spaces = [(w, ())]
     ext_dim = 0
-    for op in ops_restricted:
+    for op, op_roots in zip(ops, roots):
         new_spaces = []
         for basis, vals in spaces:
-            sub = _restrict(op, basis)
-            roots = _integer_roots(_charpoly(sub))
+            image = mat_mul(basis, op)
             covered = 0
-            for lam in roots:
-                shifted, _ = _scale_to_int(
-                    [[x - lam if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(sub)])
-                # eigenvectors are rows v with v * shifted = 0
-                ker = left_kernel(shifted)
+            for lam in op_roots:
+                ker = left_kernel(tuple(tuple(x - lam * y for x, y in zip(ri, rb))
+                                        for ri, rb in zip(image, basis)))
                 if not ker:
                     continue
                 new_spaces.append((mat_mul(ker, basis), vals + (lam,)))
@@ -639,7 +629,9 @@ def find_congruences(ops, lat: Lattice, s: Split, p: int) -> CongruenceSearch:
 def _find_congruences(ops, lat: Lattice, s: Split, primes) -> tuple[CongruenceSearch, ...]:
     """find_congruences at each of primes, in order.
 
-    The checks, the eigensystems and the split do not depend on p: each is made once.
+    The checks, the eigensystems and the split do not depend on p: each is
+    made once.  A span is op-stable exactly when adding its rows' images
+    keeps its Hermite form (for L) or its rank (for V_j).
     """
     primes = [_as_prime(p) for p in primes]
     ops = [tuple(tuple(_as_int(x, "operator entry") for x in row) for row in op)
@@ -652,18 +644,15 @@ def _find_congruences(ops, lat: Lattice, s: Split, primes) -> tuple[CongruenceSe
             if mat_mul(a, b) != mat_mul(b, a):
                 raise NotCommuting("operators do not commute")
     h = hnf(lat.basis)
-    for op in ops:
-        for row in lat.basis:
-            img = mat_mul((row,), op)[0]
-            if not _in_hnf_span(img, h):
-                raise NotStable("operator does not preserve the lattice")
-
-    def eigensystems(vbasis):
-        restricted = [_restrict(op, vbasis) for op in ops]
-        return _split_eigensystems(restricted, len(vbasis))
-
-    side1, ext1 = eigensystems(s.v1_basis)
-    side2, ext2 = eigensystems(s.v2_basis)
+    if any(hnf(h + mat_mul(h, op)) != h for op in ops):
+        raise NotStable("operator does not preserve the lattice")
+    w1, w2 = (_scale_to_int(b)[0] for b in (s.v1_basis, s.v2_basis))
+    for w in (w1, w2):
+        if any(len(hnf(w + mat_mul(w, op))) != len(w) for op in ops):
+            raise NotStable("operator does not preserve the subspace")
+    roots = [_integer_roots(_charpoly(op)) for op in ops]
+    side1, ext1 = _split_eigensystems(ops, roots, w1)
+    side2, ext2 = _split_eigensystems(ops, roots, w2)
     out = []
     for module in congruence_modules(lat, s, primes):
         pairs = tuple((e1, e2) for e1 in side1 for e2 in side2

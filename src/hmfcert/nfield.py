@@ -10,8 +10,8 @@ embeddings are dyadic intervals that provably contain the exact value.
 
 A root is an integer cell (lo_m, hi_m, exp, sign of min_poly at lo), the
 root in (lo_m / 2^exp, hi_m / 2^exp], from isolation on: the Sturm chain
-holds primitive integer polynomials, the integer Horner _sign_at reads its
-signs at dyadic points, and _bisect refines a cell.
+of exact holds primitive integer polynomials, exact's integer Horner
+_sign_at reads its signs at dyadic points, and _bisect refines a cell.
 
 A DyadicInterval is two integer mantissas over one power of two,
 [lo_m / 2^exp, hi_m / 2^exp], so interval arithmetic is integer
@@ -76,7 +76,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import _Frozen, _as_int, _charpoly, _poly_mul, _poly_rem, _solve, bareiss_det
+from .exact import (_Frozen, _as_int, _charpoly, _poly_mul, _poly_rem, _poly_trim, _sign_at,
+                    _solve, _sturm_chain, bareiss_det)
 
 
 class NotIrreducible(ValueError):
@@ -335,46 +336,6 @@ ZERO = Zero()
 
 # ---------------------------------------------------------------------------
 # real roots as integer cells
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _sign_at(p, m: int, exp: int) -> int:
-    """Sign of p(m / 2^exp) for integer p, by Horner on 2^(exp*d) * p(m / 2^exp)."""
-    acc = p[-1]
-    for k, c in enumerate(reversed(p[:-1]), 1):
-        acc = acc * m + (c << (exp * k))
-    return (acc > 0) - (acc < 0)
-
-
-def _sturm_chain(p) -> list[list[int]]:
-    """p, p', then each -(a rem b) of the last two, divided by its content.
-
-    a rem b is taken as s*a - c*x^k*b with s > 0, one leading term at a
-    time, so every member is a positive multiple of the rational Sturm
-    chain's and has its signs.
-    """
-    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
-    while True:
-        a, b = chain[-2], chain[-1]
-        while len(a) >= len(b):
-            g = math.gcd(a[-1], b[-1])
-            c, s = a[-1] // g, b[-1] // g
-            if s < 0:
-                c, s = -c, -s
-            k = len(a) - len(b)
-            a = [s * x for x in a]
-            for i, y in enumerate(b):
-                a[k + i] -= c * y
-            _poly_trim(a)
-        if not a:
-            return chain
-        g = math.gcd(*a)
-        chain.append([-x // g for x in a])
 
 
 def _isolate_real_roots(coeffs) -> list[tuple[int, int, int, int]]:

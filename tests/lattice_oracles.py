@@ -5,28 +5,40 @@ eigenspaces over F_p with its own small F_p linear algebra, split_indices
 gives the indices [L : L_1 ⊕ L_2] and [L^1 ⊕ L^2 : L] from determinants,
 three_way_by_solve computes the three congruence quotients with a
 Bareiss solve and determinant each, the middle one in ambient coordinates,
-in_row_span tests lattice membership from a fresh Hermite form,
-snf_pivot_search takes Smith forms by row and column pivoting, and
-split_lattice_from_coords makes both Hermite forms of split_lattice from
-the lattice's (V1, V2)-coordinates, the second without reusing the first.
+in_row_span tests lattice membership from a fresh Hermite form by
+substitution (_in_hnf_span), snf_pivot_search takes Smith forms by row and
+column pivoting, and split_lattice_from_coords makes both Hermite forms of
+split_lattice from the lattice's (V1, V2)-coordinates, the second without
+reusing the first.
+
+find_congruences_by_restriction is the rational route to find_congruences:
+each operator restricted to each subspace by a solve (_restrict), one
+Fraction characteristic polynomial per subspace, and integer roots by trial
+of every divisor of the constant term (integer_roots_by_divisors).
 """
 
 import math
+from fractions import Fraction
 
+from hmfcert.exact import _charpoly, _poly_eval
 from hmfcert.lattice import (
+    CongruenceSearch,
+    Eigensystem,
     Lattice,
+    NotStable,
     Split,
     SplitPieces,
     _hnf_mod,
-    _in_hnf_span,
+    _identity,
     _lowest_terms,
     _p_part,
-    _restrict,
     _scale_to_int,
     _solve,
     _transpose,
     bareiss_det,
+    congruence_module,
     hnf,
+    left_kernel,
     mat_mul,
     split_lattice,
 )
@@ -113,9 +125,100 @@ def snf_pivot_search(m) -> tuple[int, ...]:
     return tuple(result)
 
 
+def _in_hnf_span(vec, h) -> bool:
+    """Integer membership of vec in the row span of the Hermite form h."""
+    v = list(map(int, vec))
+    ncols = len(v)
+    for row in h:
+        col = next(j for j in range(ncols) if row[j] != 0)
+        if v[col] % row[col] != 0:
+            return False
+        q = v[col] // row[col]
+        for j in range(ncols):
+            v[j] -= q * row[j]
+    return all(x == 0 for x in v)
+
+
 def in_row_span(vec, basis) -> bool:
     """Integer membership of vec in the lattice spanned by basis rows."""
     return _in_hnf_span(vec, hnf(basis))
+
+
+def _restrict(op, basis):
+    """Matrix C of the operator on span(basis) in that basis: C*basis = basis*op.
+
+    Solved on the pivot columns of the basis, then checked on all columns.
+    """
+    b, _ = _scale_to_int(basis)
+    o, o_den = _scale_to_int(op)
+    img = mat_mul(b, o)  # = o_den * C * b
+    cols = [next(j for j, x in enumerate(row) if x) for row in hnf(b)]
+    d, y = _solve([[row[j] for row in b] for j in cols],
+                  [[row[j] for row in img] for j in cols])
+    c = _transpose(y, len(b))
+    if mat_mul(c, b) != tuple(tuple(d * x for x in row) for row in img):
+        raise NotStable("operator does not preserve the subspace")
+    return tuple(tuple(Fraction(x, d * o_den) for x in row) for row in c)
+
+
+def integer_roots_by_divisors(coeffs) -> list[int]:
+    """The distinct integer roots of a rational polynomial, ascending, by
+    trying every divisor of its lowest nonzero coefficient."""
+    denom = math.lcm(1, *(Fraction(c).denominator for c in coeffs))
+    ic = [int(c * denom) for c in coeffs]
+    while ic and ic[-1] == 0:
+        ic.pop()
+    if not ic:
+        return []
+    roots = [0] if ic[0] == 0 else []
+    while ic[0] == 0:
+        ic = ic[1:]
+    c0 = abs(ic[0])
+    cands = set()
+    for f in range(1, math.isqrt(c0) + 1):
+        if c0 % f == 0:
+            cands.update((f, -f, c0 // f, -(c0 // f)))
+    return sorted(roots + [r for r in cands if _poly_eval(ic, r) == 0])
+
+
+def _eigensystems_by_restriction(ops_restricted, dim):
+    """(systems, extension_dim) of commuting rational dim x dim matrices."""
+    spaces = [(_identity(dim), ())]
+    ext_dim = 0
+    for op in ops_restricted:
+        new_spaces = []
+        for basis, vals in spaces:
+            sub = _restrict(op, basis)
+            covered = 0
+            for lam in integer_roots_by_divisors(_charpoly(sub)):
+                shifted, _ = _scale_to_int(
+                    [[x - lam if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(sub)])
+                ker = left_kernel(shifted)
+                if ker:
+                    new_spaces.append((mat_mul(ker, basis), vals + (lam,)))
+                    covered += len(ker)
+            ext_dim += len(basis) - covered
+        spaces = new_spaces
+    return tuple(Eigensystem(vals, len(basis)) for basis, vals in spaces), ext_dim
+
+
+def find_congruences_by_restriction(ops, lat: Lattice, s: Split, p: int) -> CongruenceSearch:
+    """find_congruences for commuting integer operators, with each operator
+    restricted to each subspace over the rationals."""
+    h = hnf(lat.basis)
+    for op in ops:
+        if not all(_in_hnf_span(img, h) for img in mat_mul(lat.basis, op)):
+            raise NotStable("operator does not preserve the lattice")
+    sides = []
+    for vbasis in (s.v1_basis, s.v2_basis):
+        restricted = [_restrict(op, vbasis) for op in ops]
+        sides.append(_eigensystems_by_restriction(restricted, len(vbasis)))
+    (side1, ext1), (side2, ext2) = sides
+    module = congruence_module(lat, s, p)
+    pairs = tuple((e1, e2) for e1 in side1 for e2 in side2
+                  if all((a - b) % p == 0 for a, b in zip(e1.values, e2.values)))
+    return CongruenceSearch(side1, side2, ext1, ext2, pairs, module)
 
 
 def split_lattice_from_coords(lat: Lattice, s: Split) -> SplitPieces:

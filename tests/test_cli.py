@@ -247,6 +247,46 @@ class TestMalformedConfig:
         cfg = dict(self.Q5, **{block: dict(self.Q5.get(block, {}), **entries)})
         assert self._run(tmp_path, capsys, cfg) == (1, f"validation error: {message}\n")
 
+    @pytest.mark.parametrize("block,value,message", [
+        ("field", {"units": [["3/2", "1/2"]]}, "field lacks keys ['min_poly']"),
+        ("weight", {}, "weight lacks keys ['k']"),
+        ("criteria", {"quadratic_extensions": [{"units": []}]},
+         "quadratic_extensions entry lacks keys ['delta']"),
+    ])
+    def test_exclude_primes_missing_key(self, tmp_path, capsys, block, value, message):
+        cfg = dict(self.Q5, **{block: value})
+        assert self._run(tmp_path, capsys, cfg) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("block,entries,message", [
+        ("field", {"units": [5]}, "field units entry is not a list"),
+        ("field", {"units": 5}, "field units is not a list"),
+        ("field", {"min_poly": 5}, "field min_poly is not a list"),
+        ("field", {"galois": [5, 5]}, "field galois entry is not a list"),
+        ("weight", {"k": 4}, "weight k is not a list"),
+        ("criteria", {"fiber_partitions": [[0, 1]]}, "fiber_partitions block is not a list"),
+        ("criteria", {"fiber_partitions": [5]}, "fiber_partitions partition is not a list"),
+        ("criteria", {"fiber_partitions": 5}, "criteria fiber_partitions is not a list"),
+        ("criteria", {"quadratic_extensions": 5}, "criteria quadratic_extensions is not a list"),
+        ("criteria", {"quadratic_extensions": [{"delta": 3}]},
+         "quadratic_extensions delta is not a list"),
+        ("criteria", {"quadratic_extensions": [{"delta": [3], "units": [5]}]},
+         "quadratic_extensions units entry is not a list"),
+        ("criteria", {"quadratic_extensions": [{"delta": [3], "units": [[5, [1]]]}]},
+         "quadratic_extensions unit is not a list"),
+    ])
+    def test_exclude_primes_scalar_for_list(self, tmp_path, capsys, block, entries, message):
+        cfg = dict(self.Q5, **{block: dict(self.Q5.get(block, {}), **entries)})
+        assert self._run(tmp_path, capsys, cfg) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("rows,message", [
+        (5, "congruence-module lattice is not a list"),
+        ([5], "congruence-module lattice row is not a list"),
+        ([[1, 0], 5], "congruence-module lattice row is not a list"),
+    ])
+    def test_congruence_module_scalar_lattice(self, tmp_path, capsys, rows, message):
+        cfg = {"lattice": rows, "split": 1, "p": 5}
+        assert self._run(tmp_path, capsys, cfg, "congruence-module") == (1, f"error: {message}\n")
+
     def test_exclude_primes_boolean_coordinate(self, tmp_path, capsys):
         cfg = dict(self.Q5, field=dict(self.Q5["field"], units=[[True, False]]))
         assert self._run(tmp_path, capsys, cfg) == (1, "error: cannot parse rational from True\n")
@@ -565,6 +605,19 @@ class TestClassifyExtensionField:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"validation error: r = {r} must be at least 1\n"
+
+    @pytest.mark.parametrize("modulus", ["1,2,1", "1", "3,0"])
+    def test_prime_field_modulus_checked(self, capsys, modulus):
+        assert run(["classify-image", "--p", "5", "--modulus", modulus,
+                    "--gens", "1,1,0,1;1,0,1,1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "validation error: modulus must be monic of degree r\n")
+
+    def test_prime_field_linear_modulus(self, capsys):
+        assert run(["classify-image", "--p", "5", "--modulus", "2,1",
+                    "--gens", "1,1,0,1;1,0,1,1"]) == 0
+        assert capsys.readouterr().out == "group over F_5: PSL2(5), projective order 60\n"
 
     def test_prime_field_entries_reduce(self, capsys):
         assert run(["classify-image", "--p", "7", "--gens", "8,8,7,8;-6,0,1,1"]) == 0

@@ -575,8 +575,21 @@ class TestTameChar:
                                 p, h, ks, signs)
 
 
+@pytest.mark.parametrize("modulus", [[1, 2, 1], [1], [2, 5], [2, 0]])
+def test_prime_field_modulus_is_monic_linear(modulus):
+    with pytest.raises(ValueError, match="^modulus must be monic of degree r$"):
+        Fq(5, 1, modulus)
+
+
+def test_prime_field_modulus_is_kept():
+    # x + 2 and x + 7 are one modulus over F_5, and x + c0 gives F_5 itself
+    assert Fq(5, 1, [2, 1]).modulus == Fq(5, 1, [7, 6]).modulus == (2, 1)
+    assert Fq(5, 1).modulus == (0, 1)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Fq(3, 2, [2.9, 2, 1]), "modulus coefficient must be an integer, not 2.9"),
+    (lambda: Fq(5, 1, [3.5, 1]), "modulus coefficient must be an integer, not 3.5"),
     (lambda: Fq(5, 2.0), "r must be an integer, not 2.0"),
     (lambda: Fq(5.0), "p must be an integer, not 5.0"),
     (lambda: recover_from_subset_sums([1.9, 2, 4, 5], 2),

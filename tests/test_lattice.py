@@ -35,6 +35,7 @@ from hmfcert.lattice import (
     SplitPieces,
     _charpoly,
     _hnf_mod,
+    _integer_roots,
     _lowest_terms,
     _p_part,
     _quotient_invariants,
@@ -46,6 +47,7 @@ from hmfcert.lattice import (
 )
 
 from lattice_oracles import (
+    find_congruences_by_restriction,
     in_row_span,
     localized_module_nonzero,
     relation_matrix_by_solve,
@@ -392,6 +394,67 @@ def test_charpoly_against_sympy():
         got = _charpoly(m)
         assert [sympy.Rational(c.numerator, c.denominator) for c in got] == \
             want.all_coeffs()[::-1]
+        # an integer matrix gives int coefficients
+        assert all(type(c) is int for c in _charpoly([[int(c) for c in row] for row in m]))
+
+
+def _poly_from_factors(factors):
+    p = [1]
+    for f in factors:
+        p = [sum(p[j] * f[i - j] for j in range(len(p)) if 0 <= i - j < len(f))
+             for i in range(len(p) + len(f) - 1)]
+    return p
+
+
+def test_integer_roots_against_sympy():
+    # products of repeated linear factors, zero roots, linear factors with a
+    # rational non-integer root, and quadratics with irrational, complex or
+    # integer roots
+    rng = random.Random(25)
+    x = sympy.symbols("x")
+    for _ in range(300):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.5:
+                f = [-rng.randint(-30, 30), 1]
+            elif kind < 0.6:
+                f = [rng.randint(-9, 9), rng.randint(2, 5)]
+            else:
+                f = [rng.randint(-9, 9), rng.randint(-9, 9), rng.choice([1, -1, 2])]
+            factors += [f] * rng.choice([1, 1, 1, 2, 3])
+        p = [rng.choice([1, -1, 3]) * c for c in _poly_from_factors(factors)]
+        want = sorted(int(r) for r in sympy.Poly(p[::-1], x).ground_roots() if r.is_integer)
+        assert _integer_roots(p) == want, p
+
+
+def test_integer_roots_of_large_linear_factors():
+    rng = random.Random(18)
+    for _ in range(60):
+        ns = [rng.randint(-10**18, 10**18) for _ in range(rng.randint(1, 5))]
+        ns += rng.sample(ns, rng.randint(0, len(ns)))  # repeated roots
+        extra = [rng.choice([[2, 0, 1], [-3, 0, 1], [1, 1, 1]])] * rng.randint(0, 2)
+        p = _poly_from_factors([[-n, 1] for n in ns] + extra)
+        assert _integer_roots(p) == sorted(set(ns))
+
+
+def test_integer_roots_edge_cases():
+    assert _integer_roots([1]) == []
+    assert _integer_roots([0, 0, 1]) == [0]  # x^2: the chain ends in 2x, not x
+    assert _integer_roots([0, 0, 0, 4]) == [0]
+    assert _integer_roots([-2, 0, 1]) == []
+    assert _integer_roots([1, 0, 1]) == []
+    assert _integer_roots([6, 1, -1]) == [-2, 3]
+    assert _integer_roots([1, -2]) == []
+
+
+def test_integer_roots_time_grows_with_digits():
+    # the roots n, n + 1 of x^2 - (2n+1)x + n(n+1): trying the divisors of
+    # the constant term up to its square root took 49 s at n = 10^9
+    n = 10**9
+    start = time.perf_counter()
+    assert _integer_roots([n * (n + 1), -(2 * n + 1), 1]) == [n, n + 1]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_quotient_invariants_rejects_non_sublattice():
@@ -778,6 +841,34 @@ class TestFindCongruences:
         assert ((2, 1), (7, 1)) in [(e1.values, e2.values) for e1, e2 in res.pairs]
         assert sum(1 for m in forms if m == lat.basis) == 1
 
+    def test_eigenvalues_near_a_billion(self):
+        n = 10**9
+        lat = Lattice(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+        op = ((n, 1, 0), (0, n + 1, 0), (0, 0, n + 5))
+        start = time.perf_counter()
+        res = find_congruences([op], lat, coordinate_split(3, 2), 5)
+        assert time.perf_counter() - start < 1.0
+        assert [e.values for e in res.side1] == [(n,), (n + 1,)]
+        assert [(e1.values, e2.values) for e1, e2 in res.pairs] == [((n,), (n + 5,))]
+
+    def test_against_restriction_oracle(self):
+        # the systems in order, extension_needed, the pairs and the module;
+        # an unstable case raises the same NotStable message
+        rng = random.Random(2025)
+        compared = unstable = 0
+        for _ in range(480):
+            ops, lat, s, p = _block_case(rng)
+            try:
+                want = find_congruences_by_restriction(ops, lat, s, p)
+            except NotStable as exc:
+                unstable += 1
+                with pytest.raises(NotStable, match=f"^{exc}$"):
+                    find_congruences(ops, lat, s, p)
+                continue
+            assert find_congruences(ops, lat, s, p) == want
+            compared += 1
+        assert compared >= 400 and unstable
+
     def test_extension_needed_counts(self):
         # rotation-like operator with irrational eigenvalues on V1+V2... use
         # a 2x2 block with characteristic polynomial x^2 - 2 on one side
@@ -790,6 +881,52 @@ class TestFindCongruences:
 
 
 NotStableOrSplit = (NotStable, DegenerateSplit)
+
+
+def _block_case(rng):
+    """(op, op^2), a lattice and a split of Q^n that op preserves, and a prime.
+
+    op = P^-1 D P for a random unimodular P and D = diag(A1, A2), each A_j
+    block upper triangular: integer diagonal entries with repeats and values
+    congruent mod p, and 2x2 companion blocks, whose eigenvalues may be
+    integers, irrational or complex.  V_j is spanned by P's rows of A_j,
+    scaled by rationals, and L is the Z[D]-module generated by a glued
+    lattice, moved by P.  One case in eight perturbs op by one entry, which
+    breaks the stability of L or of a V_j unless op stays block triangular.
+    """
+    d1, d2, p = rng.randint(1, 3), rng.randint(1, 3), rng.choice([2, 3, 5, 7])
+    n = d1 + d2
+    pool = [rng.randint(-6, 6) for _ in range(3)]
+    d = [[0] * n for _ in range(n)]
+    for lo, hi in ((0, d1), (d1, n)):
+        i = lo
+        while i < hi:
+            if i + 1 < hi and rng.random() < 0.3:
+                d[i][i + 1] = 1
+                d[i + 1][i], d[i + 1][i + 1] = rng.randint(-3, 3), rng.randint(-3, 3)
+                i += 2
+            else:
+                d[i][i] = rng.choice(pool) + p * rng.randint(-2, 2)
+                i += 1
+        for i in range(lo, hi):
+            for j in range(i + 2 if i + 1 < hi and d[i][i + 1] == 1 else i + 1, hi):
+                d[i][j] = rng.choice([0, 0, 0, 1, -1, 2])
+    pm = _unimodular(rng, n)
+    det, inv = _solve(pm, [[int(i == j) for j in range(n)] for i in range(n)])
+    op = [list(r) for r in mat_mul([[det * x for x in r] for r in inv], mat_mul(d, pm))]
+    if rng.random() < 0.125:
+        op[rng.randrange(n)][rng.randrange(n)] += rng.choice([-1, 1])
+    op = tuple(map(tuple, op))
+    glue = [[p if i == j and rng.random() < 0.5 else int(i == j) if i >= j else rng.randint(0, 2)
+             for j in range(n)] for i in range(n)]
+    rows, power = [], glue
+    for _ in range(n):
+        rows += power
+        power = [list(r) for r in mat_mul(power, d)]
+    lat = Lattice(mat_mul(hnf(rows), pm), n)
+    scaled = [tuple(Fraction(x, k) for x in row)
+              for row, k in zip(pm, (rng.choice([1, 1, 2, 3]) for _ in range(n)))]
+    return [op, mat_mul(op, op)], lat, Split(scaled[:d1], scaled[d1:]), p
 
 
 class TestLocalizedModuleOracle:
