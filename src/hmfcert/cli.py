@@ -120,9 +120,10 @@ def build_inputs(cfg: dict, precision_cap: int | None = None) -> criteria.Certif
         dlt = _element(fld, kd["delta"], "quadratic_extensions delta")
         kunits = []
         for pair in _list(kd.get("units", []), "quadratic_extensions units"):
-            a, b = _list(pair, "quadratic_extensions units entry")
-            kunits.append((_element(fld, a, "quadratic_extensions unit"),
-                           _element(fld, b, "quadratic_extensions unit")))
+            pair = _list(pair, "quadratic_extensions units entry")
+            if len(pair) != 2:
+                raise UsageError("quadratic_extensions units entry is not an [a, b] pair")
+            kunits.append(tuple(_element(fld, c, "quadratic_extensions unit") for c in pair))
         quads.append(
             criteria.QuadExtDescription(delta=dlt, units=tuple(kunits),
                                         label=kd.get("label", "K"))

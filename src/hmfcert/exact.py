@@ -1,19 +1,19 @@
 """Exact kernels shared across hmfcert: fraction-free integer elimination,
 characteristic polynomials, dense polynomial arithmetic and Sturm chains.
 
-bareiss_det and _solve are the integer elimination core of lattice, and
-nfield clears denominators and calls them for norms and inverses.
-_charpoly gives lattice the integer characteristic polynomial of each
-operator and nfield the integrality test of its units.  The polynomial
-helpers work on dense lists, low degree first, over any coefficient ring:
-nfield multiplies and reduces field elements with them, gl2img builds its
-F_q tables and modform its complex local factors.  The integer Sturm chain
-and the Horner sign _sign_at count real roots: nfield isolates the roots
-of a field polynomial in dyadic cells, lattice the integer roots of a
-characteristic polynomial in integer ones.  _as_int reads caller data
-as integers, and _Frozen makes the fields of a plain record read-only.
-The module imports nothing from hmfcert, so each of those modules can use
-it without loading another.
+bareiss_det and _solve, both on the one Bareiss pass _bareiss, are the
+integer elimination core of lattice, and nfield clears denominators and
+calls them for norms and inverses.  _charpoly gives lattice the integer
+characteristic polynomial of each operator and nfield the integrality test
+of its units.  The polynomial helpers work on dense lists, low degree
+first, over any ring: nfield multiplies field elements with them, gl2img
+finds its F_q moduli and modform builds its complex local factors.
+_root_cells isolates real roots in dyadic cells on the integer Sturm chain
+and _bisect refines a cell: nfield's field roots and lattice's integer
+roots both come from them.  _as_int reads caller data as integers, and
+_Frozen makes the fields of a plain record read-only.  The module imports
+nothing from hmfcert, so each of those modules can use it without loading
+another.
 """
 
 from __future__ import annotations
@@ -48,55 +48,67 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _bareiss(rows, n: int) -> int:
+    """Forward fraction-free elimination (Bareiss) on the first n columns, in place.
+
+    Step k swaps up the first row with a nonzero entry in column k and sets
+    each row r below it to (p_k * r - r[k] * pivot row) // p_(k-1) on the
+    columns after k (a minor, so exact); with r[k] = 0 and p_k = p_(k-1) r
+    stays.  Returns the swaps' sign, rows[n-1][n-1] then being that sign
+    times the determinant, or 0 when some column has no pivot.
+    """
+    sign = prev = 1
+    for k in range(n):
+        rk = rows[k]
+        if not rk[k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if piv is None:
+                return 0
+            rows[k], rows[piv], sign = rows[piv], rk, -sign
+            rk = rows[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            f = ri[k]
+            if f or pk != prev:
+                for j in range(k + 1, len(ri)):
+                    ri[j] = (pk * ri[j] - f * rk[j]) // prev
+        prev = pk
+    return sign
+
+
 def bareiss_det(m) -> int:
     """Determinant of a square integer matrix, fraction-free (Bareiss)."""
     a = [list(row) for row in m]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+    return _bareiss(a, n) * a[-1][-1] if n else 1
 
 
 def _solve(a, b) -> tuple[int, list[list[int]]]:
     """(d, Y) with A*Y = d*B and d != 0, for square integer A and integer B.
 
-    Fraction-free Gauss-Jordan (Bareiss): every entry of [A | B] after step
-    k is a minor of the input, so the division by the previous pivot is
-    exact, and the final [d*I | Y] has d = +-det(A) and Y = d * A^-1 * B.
+    _bareiss on [A | B] leaves [U | B'], U upper triangular with U*X = B' for
+    X = A^-1 * B, and d = U[n-1][n-1] = +-det(A).  Back substitution takes
+    Y = d*X from the bottom, Y[i] = (d*B'[i] - sum_{j>i} U[i][j]*Y[j]) /
+    U[i][i], each division exact as Y is an integer matrix (Cramer's rule).
     """
     n = len(a)
     rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        rk = rows[k]
-        pk = rk[k]
-        for i in range(n):
-            f = rows[i][k]
-            # with f == 0 and pk == prev the update is the identity
-            if i != k and (f or pk != prev):
-                rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], rk)]
-        prev = pk
-    return prev, [row[n:] for row in rows]
+    if not _bareiss(rows, n):
+        raise ValueError("singular matrix")
+    d = rows[-1][n - 1] if n else 1
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        acc = [d * x for x in ri[n:]] if d != 1 else ri[n:]
+        for j in range(i + 1, n):
+            u = ri[j]
+            if u:
+                acc = [s - u * t for s, t in zip(acc, y[j])]
+        y[i] = [s // ri[i] for s in acc] if ri[i] != 1 else acc
+    return d, y
 
 
 def _charpoly(m) -> list:
@@ -189,3 +201,58 @@ def _sturm_chain(p) -> list[list[int]]:
             return chain
         g = math.gcd(*a)
         chain.append([-x // g for x in a])
+
+
+def _root_cells(chain) -> list[tuple[int, int, int, int]]:
+    """One cell (lo_m, hi_m, exp, sign_lo) per real root of p = chain[0], ascending.
+
+    chain is the Sturm chain of a squarefree integer p.  The cells are the
+    parts of (-B, B], B = 1 + max |c_i| below the leading term, halved until
+    the chain counts one root in each (Basu, Pollack & Roy, Thm 2.50), at
+    the least exponent that holds both ends.  sign_lo is p's sign just above
+    lo: p(lo)'s, or p'(lo)'s when lo is a root, which the cell below holds.
+    """
+    out = []
+
+    def variations(m, exp):
+        signs = [s for s in (_sign_at(q, m, exp) for q in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def recurse(lo_m, hi_m, exp, v_lo, v_hi):
+        if v_lo - v_hi == 1:
+            while exp and not (lo_m | hi_m) & 1:
+                lo_m, hi_m, exp = lo_m >> 1, hi_m >> 1, exp - 1
+            sign_lo = _sign_at(chain[0], lo_m, exp) or _sign_at(chain[1], lo_m, exp)
+            out.append((lo_m, hi_m, exp, sign_lo))
+        elif v_lo > v_hi:
+            mid = lo_m + hi_m
+            v_mid = variations(mid, exp + 1)
+            recurse(lo_m << 1, mid, exp + 1, v_lo, v_mid)
+            recurse(mid, hi_m << 1, exp + 1, v_mid, v_hi)
+
+    bound = 1 + max(abs(c) for c in chain[0][:-1])
+    recurse(-bound, bound, 0, variations(-bound, 0), variations(bound, 0))
+    return out
+
+
+def _bisect(p, root, bits: int) -> tuple[int, int, int, int]:
+    """Halve root = (lo_m, hi_m, exp, sign_lo) of p until hi - lo <= 2^-bits.
+
+    Each step adds one bit to the exponent, so hi_m - lo_m stays fixed; a
+    midpoint that is a root ends the search as the point cell (mid, mid).
+    """
+    lo_m, hi_m, exp, sign_lo = root
+    gap = hi_m - lo_m
+    if gap == 0:
+        return root
+    while exp < bits + (gap - 1).bit_length():
+        mid = lo_m + hi_m
+        lo_m, hi_m, exp = lo_m << 1, hi_m << 1, exp + 1
+        s = _sign_at(p, mid, exp)
+        if s == 0:
+            return mid, mid, exp, sign_lo
+        if s == sign_lo:
+            lo_m = mid
+        else:
+            hi_m = mid
+    return lo_m, hi_m, exp, sign_lo

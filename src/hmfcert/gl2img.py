@@ -109,53 +109,44 @@ class Fq:
         raise RuntimeError("no primitive modulus found")
 
     def _build_tables(self):
-        p, r, q = self.p, self.r, self.q
+        """The add, mul, neg and inverse tables; e = sum c_i p^i encodes sum c_i x^i.
 
-        def decode(e):
-            return [(e // p**i) % p for i in range(r)]
-
-        def encode(v):
-            return sum(c % p * p**i for i, c in enumerate(v))
-
-        self._decode = decode
-        self._encode = encode
-        if r == 1:
-            self.add_table = None
-            self.mul_table = None
-        else:
-            mod = list(self.modulus)
-            self.add_table = [
-                [encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
-                 for b in range(q)] for a in range(q)
-            ]
-            self.mul_table = [
-                [encode(_poly_mul_mod(decode(a), decode(b), mod, p))
-                 for b in range(q)] for a in range(q)
-            ]
-        self.inv_table = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul(a, b) == 1:
-                    self.inv_table[a] = b
-                    break
+        Rows grow one base-p digit c of b at a time.  Sums go digit by digit,
+        so their digit terms add as integers; a*b sums c * (a x^i mod modulus).
+        """
+        p, r = self.p, self.r
+        digits = [[(e // p**i) % p for i in range(r)] for e in range(self.q)]
+        add = self.add_table = []
+        for a in digits:
+            row = [0]
+            for i, ai in enumerate(a):
+                row = [x + (ai + c) % p * p**i for c in range(p) for x in row]
+            add.append(row)
+        self.mul_table = []
+        for u in digits:
+            row = [0]
+            for _ in range(r):
+                step, terms = sum(c * p**j for j, c in enumerate(u)), [0]
+                for _ in range(p - 1):  # c * u for c = 0..p-1, by adding u
+                    terms.append(add[terms[-1]][step])
+                row = [add[t][x] for t in terms for x in row]
+                u = [0] + u  # u * x, reduced by the monic modulus
+                u = [(y - u[r] * m) % p for y, m in zip(u[:r], self.modulus)]
+            self.mul_table.append(row)
+        self.neg_table = [row.index(0) for row in add]
+        self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
 
     # element arithmetic on encoded ints
     def add(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
         return self.add_table[a][b]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.r == 1:
-            return (-a) % self.p
-        return self._encode([(-c) % self.p for c in self._decode(a)])
+        return self.neg_table[a]
 
     def mul(self, a, b):
-        if self.r == 1:
-            return a * b % self.p
         return self.mul_table[a][b]
 
     def inv(self, a):

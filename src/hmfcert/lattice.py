@@ -2,19 +2,20 @@
 
 Integer matrices are tuples of tuples of ints, row vectors spanning the
 lattice.  The elimination core is integer-only.  A rational solve goes
-through one fraction-free Gauss-Jordan (_solve), except in the quotient
+through one fraction-free Bareiss solve (_solve), except in the quotient
 step, where _relation_matrix substitutes against the upper-triangular
 Hermite bases that split_lattice has already made.  Every Hermite form goes
 through hnf, or through _hnf_mod (modulo the determinant) when the matrix
 is square and nonsingular, and every Smith form through _smith, which
 repeats _hnf_mod on transposes.  A rational lattice is an integer matrix
 with one common denominator.  fractions.Fraction appears only at the Split
-input, whose bases are cleared to integers once, in det_rational and in
-disc_pairing.  find_congruences works on integers in ambient coordinates:
-the integer roots of each operator's characteristic polynomial come from
-the integer Sturm chain, and an eigenspace inside span(w) is a left kernel
-of w*op - lam*w.  The Bareiss determinant, _solve, _charpoly and the Sturm
-chain live in exact, which the number-field module shares.
+input, whose bases split_lattice and _find_congruences clear to integers on
+each call, in det_rational and in disc_pairing.  find_congruences works on
+integers in ambient coordinates: the integer roots of each operator's
+characteristic polynomial come from exact's root cells, and an eigenspace
+inside span(w) is a left kernel of w*op - lam*w.  The Bareiss elimination
+behind bareiss_det and _solve, _charpoly and the Sturm root isolation live
+in exact, which the number-field module shares.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _as_int, _charpoly, _sign_at, _solve, _sturm_chain, bareiss_det
+from .exact import (_as_int, _bisect, _charpoly, _root_cells, _sign_at, _solve, _sturm_chain,
+                    bareiss_det)
 from .primes import is_prime
 
 
@@ -532,10 +534,9 @@ def _integer_roots(p) -> list[int]:
     """The distinct integer roots, ascending, of the integer polynomial p.
 
     p over the primitive part of its Sturm chain's last member, a multiple
-    of gcd(p, p'), is its squarefree part s.  The cells (lo, hi] of (-B, B],
-    B = 1 + max |c_i|, in which s has a root by Sturm's count (Basu, Pollack
-    & Roy, Thm 2.50), are halved down to width 1: hi is a root when s(hi) = 0.
-    The cost grows with log |root|, not with the constant term.
+    of gcd(p, p'), is its squarefree part s.  Each root cell (lo, hi] of s,
+    bisected to width at most 1, holds at most one integer, floor(hi): the
+    cost grows with log |root|, not with the constant term.
     """
     if len(p) < 2:
         return []
@@ -549,25 +550,13 @@ def _integer_roots(p) -> list[int]:
             p[i:i + k] = [x - s[-1] * y for x, y in zip(p[i:i + k], g)]
         p = s[::-1]
         chain = _sturm_chain(p)
-
-    def variations(m):
-        signs = [v for v in (_sign_at(q, m, 0) for q in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    bound = 1 + max(abs(c) for c in p[:-1])
-    cells = [(-bound, bound, variations(-bound), variations(bound))]
     roots = []
-    while cells:
-        lo, hi, v_lo, v_hi = cells.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if not _sign_at(p, hi, 0):
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = variations(mid)
-        cells += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    for cell in _root_cells(chain):
+        lo_m, hi_m, exp, _ = _bisect(p, cell, 0)
+        n = hi_m >> exp
+        # n in (lo, hi], or n = hi for the point cell a bisection ends on
+        if (lo_m < n << exp or hi_m == n << exp) and not _sign_at(p, n, 0):
+            roots.append(n)
     return roots
 
 

@@ -9,9 +9,9 @@ the monic min_poly, and an inverse is one fraction-free solve
 embeddings are dyadic intervals that provably contain the exact value.
 
 A root is an integer cell (lo_m, hi_m, exp, sign of min_poly at lo), the
-root in (lo_m / 2^exp, hi_m / 2^exp], from isolation on: the Sturm chain
-of exact holds primitive integer polynomials, exact's integer Horner
-_sign_at reads its signs at dyadic points, and _bisect refines a cell.
+root in (lo_m / 2^exp, hi_m / 2^exp], from isolation on: exact's
+_root_cells isolates the roots on the integer Sturm chain, and exact's
+_bisect refines a cell.
 
 A DyadicInterval is two integer mantissas over one power of two,
 [lo_m / 2^exp, hi_m / 2^exp], so interval arithmetic is integer
@@ -76,8 +76,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import (_Frozen, _as_int, _charpoly, _poly_mul, _poly_rem, _poly_trim, _sign_at,
-                    _solve, _sturm_chain, bareiss_det)
+from .exact import (_Frozen, _as_int, _bisect, _charpoly, _poly_mul, _poly_rem, _poly_trim,
+                    _root_cells, _solve, _sturm_chain, bareiss_det)
 
 
 class NotIrreducible(ValueError):
@@ -339,66 +339,15 @@ ZERO = Zero()
 
 
 def _isolate_real_roots(coeffs) -> list[tuple[int, int, int, int]]:
-    """One cell (lo_m, hi_m, exp, sign of p at lo) per real root, ascending.
-
-    Each root lies in its cell's (lo_m / 2^exp, hi_m / 2^exp], written at
-    the least exponent that holds both ends.  The cells are the parts of
-    (-B, B], B = 1 + max |c_i| for the monic p, halved until the Sturm chain
-    counts at most one root in each.  A lower end that is a root (only a
-    reducible p has one) makes the cell that point.  Raises NotIrreducible
-    on a repeated factor (the chain ends in gcd(p, p') of positive degree),
-    then NotTotallyReal.
-    """
+    """exact._root_cells of coeffs.  Raises NotIrreducible on a repeated factor
+    (the Sturm chain ends in gcd(p, p') of positive degree), then NotTotallyReal."""
     chain = _sturm_chain(coeffs)
     if len(chain[-1]) > 1:
         raise NotIrreducible(f"{coeffs} has a repeated factor")
-    out = []
-
-    def variations(m, exp):
-        signs = [s for s in (_sign_at(q, m, exp) for q in chain) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    def recurse(lo_m, hi_m, exp, v_lo, v_hi):
-        if v_lo - v_hi == 1:
-            while exp and not (lo_m | hi_m) & 1:
-                lo_m, hi_m, exp = lo_m >> 1, hi_m >> 1, exp - 1
-            sign_lo = _sign_at(coeffs, lo_m, exp)
-            out.append((lo_m, hi_m if sign_lo else lo_m, exp, sign_lo))
-        elif v_lo > v_hi:
-            mid = lo_m + hi_m
-            v_mid = variations(mid, exp + 1)
-            recurse(lo_m << 1, mid, exp + 1, v_lo, v_mid)
-            recurse(mid, hi_m << 1, exp + 1, v_mid, v_hi)
-
-    d, bound = len(coeffs) - 1, 1 + max(abs(c) for c in coeffs[:-1])
-    v_lo, v_hi = variations(-bound, 0), variations(bound, 0)
-    if v_lo - v_hi < d:
-        raise NotTotallyReal(f"only {v_lo - v_hi} real roots for degree {d}")
-    recurse(-bound, bound, 0, v_lo, v_hi)
-    return out
-
-
-def _bisect(p, root, bits: int) -> tuple[int, int, int, int]:
-    """Halve root = (lo_m, hi_m, exp, sign_lo) until hi - lo <= 2^-bits.
-
-    Each step adds one bit to the exponent, so hi_m - lo_m stays fixed and
-    the number of steps is known in advance.
-    """
-    lo_m, hi_m, exp, sign_lo = root
-    gap = hi_m - lo_m
-    if gap == 0:
-        return root
-    while exp < bits + (gap - 1).bit_length():
-        mid = lo_m + hi_m
-        lo_m, hi_m, exp = lo_m << 1, hi_m << 1, exp + 1
-        s = _sign_at(p, mid, exp)
-        if s == 0:
-            return mid, mid, exp, sign_lo
-        if s == sign_lo:
-            lo_m = mid
-        else:
-            hi_m = mid
-    return lo_m, hi_m, exp, sign_lo
+    cells, d = _root_cells(chain), len(coeffs) - 1
+    if len(cells) < d:
+        raise NotTotallyReal(f"only {len(cells)} real roots for degree {d}")
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ find_congruences_by_restriction is the rational route to find_congruences:
 each operator restricted to each subspace by a solve (_restrict), one
 Fraction characteristic polynomial per subspace, and integer roots by trial
 of every divisor of the constant term (integer_roots_by_divisors).
+integer_roots_by_integer_cells finds integer roots by its own Sturm-count
+loop over integer cells, halved down to width 1.
 """
 
 import math
 from fractions import Fraction
 
-from hmfcert.exact import _charpoly, _poly_eval
+from hmfcert.exact import _charpoly, _poly_eval, _sign_at, _sturm_chain
 from hmfcert.lattice import (
     CongruenceSearch,
     Eigensystem,
@@ -179,6 +181,48 @@ def integer_roots_by_divisors(coeffs) -> list[int]:
         if c0 % f == 0:
             cands.update((f, -f, c0 // f, -(c0 // f)))
     return sorted(roots + [r for r in cands if _poly_eval(ic, r) == 0])
+
+
+def integer_roots_by_integer_cells(p) -> list[int]:
+    """The distinct integer roots, ascending, of the integer polynomial p.
+
+    p over the primitive part of its Sturm chain's last member is its
+    squarefree part s.  The cells (lo, hi] of (-B, B], B = 1 + max |c_i|, in
+    which s has a root by Sturm's count are halved down to width 1: hi is a
+    root when s(hi) = 0.
+    """
+    if len(p) < 2:
+        return []
+    chain = _sturm_chain(p)
+    g = chain[-1]
+    if len(g) > 1:
+        g, k, s = [c // math.gcd(*g) for c in g], len(g), []
+        p = list(p)
+        for i in range(len(p) - k, -1, -1):  # long division, exact by Gauss's lemma
+            s.append(p[i + k - 1] // g[-1])
+            p[i:i + k] = [x - s[-1] * y for x, y in zip(p[i:i + k], g)]
+        p = s[::-1]
+        chain = _sturm_chain(p)
+
+    def variations(m):
+        signs = [v for v in (_sign_at(q, m, 0) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in p[:-1])
+    cells = [(-bound, bound, variations(-bound), variations(bound))]
+    roots = []
+    while cells:
+        lo, hi, v_lo, v_hi = cells.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not _sign_at(p, hi, 0):
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        cells += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return roots
 
 
 def _eigensystems_by_restriction(ops_restricted, dim):

@@ -3,8 +3,8 @@
 isolate_real_roots is root isolation on Fraction Sturm chains: exact
 remainders by Fraction long division, sign variations by Fraction Horner
 at every bisection point.  start_cell turns one of its intervals into the
-dyadic cell that root refinement starts from, the sign of min_poly at the
-lower end included.
+dyadic cell that root refinement starts from, the sign of min_poly just
+above the lower end included.
 
 quadratic_product computes the symmetrized products of a quadratic field
 exactly, as the norm of a - b, with a and b products of powers of eps and
@@ -15,13 +15,12 @@ against it.
 import math
 from fractions import Fraction
 
-from hmfcert.exact import _poly_eval
+from hmfcert.exact import _poly_eval, _sign_at
 from hmfcert.nfield import (
     DyadicInterval,
     NotIrreducible,
     NotTotallyReal,
     _poly_trim,
-    _sign_at,
     norm,
     trace,
 )
@@ -92,12 +91,13 @@ def isolate_real_roots(coeffs) -> list[tuple[Fraction, Fraction]]:
 
 
 def start_cell(p, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """(lo_m, hi_m, exp, sign of p at lo) for a dyadic isolating interval."""
+    """(lo_m, hi_m, exp, sign of p just above lo) for a dyadic isolating interval."""
     iv = DyadicInterval(lo, hi)
     sign_lo = _sign_at(p, iv.lo_m, iv.exp)
     if sign_lo == 0:
-        # the endpoint is itself a root, which only a reducible p has
-        return iv.lo_m, iv.lo_m, iv.exp, 0
+        # the endpoint is itself a simple root, which only a reducible p has:
+        # p has the sign of p' just above it
+        sign_lo = _sign_at([i * c for i, c in enumerate(p)][1:], iv.lo_m, iv.exp)
     return iv.lo_m, iv.hi_m, iv.exp, sign_lo
 
 

@@ -278,6 +278,12 @@ class TestMalformedConfig:
         cfg = dict(self.Q5, **{block: dict(self.Q5.get(block, {}), **entries)})
         assert self._run(tmp_path, capsys, cfg) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("units", [[[[1]]], [[[1], [1], [1]]], [[]]])
+    def test_exclude_primes_unit_pair_length(self, tmp_path, capsys, units):
+        cfg = dict(self.Q5, criteria={"quadratic_extensions": [{"delta": [3], "units": units}]})
+        assert self._run(tmp_path, capsys, cfg) == (
+            1, "error: quadratic_extensions units entry is not an [a, b] pair\n")
+
     @pytest.mark.parametrize("rows,message", [
         (5, "congruence-module lattice is not a list"),
         ([5], "congruence-module lattice row is not a list"),

@@ -74,6 +74,27 @@ class TestFq:
         with pytest.raises(ValueError, match=f"^r = {r} must be at least 1$"):
             Fq(5, r)
 
+    @pytest.mark.parametrize("p", [p for p in range(2, 114) if sympy.isprime(p)])
+    def test_prime_field_tables_are_arithmetic_mod_p(self, p):
+        # r = 1 takes the table path of every q; x - 1 gives F_p itself too
+        for F in (Fq(p), Fq(p, 1, [-1, 1])):
+            assert F.add_table == [[(a + b) % p for b in range(p)] for a in range(p)]
+            assert F.mul_table == [[a * b % p for b in range(p)] for a in range(p)]
+            assert F.neg_table == [-a % p for a in range(p)]
+            assert F.inv_table == [None] + [pow(a, -1, p) for a in range(1, p)]
+
+    @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 2), (11, 2)])
+    def test_extension_add_and_neg_are_digitwise(self, p, r):
+        F = Fq(p, r)
+
+        def digits(e):
+            return [(e // p**i) % p for i in range(r)]
+
+        for a in range(F.q):
+            assert digits(F.neg(a)) == [-c % p for c in digits(a)]
+            for b in range(F.q):
+                assert digits(F.add(a, b)) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+
     def test_subfield_size(self):
         F = Fq(3, 2)
         assert F.subfield_size([0, 1, 2]) == 3

@@ -144,3 +144,18 @@ def test_no_module_imports_dataclasses_or_typing():
             found += [(name, m) for m in modules
                       if m.split(".")[0] in ("dataclasses", "typing")]
     assert found == []
+
+
+def test_exact_imports_nothing_from_the_package():
+    # exact is the leaf module that nfield, lattice, gl2img and modform share,
+    # so that each can use it without loading another
+    with open(os.path.join(SRC, "hmfcert", "exact.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "exact.py")
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert {"math", "fractions"} <= set(modules)
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "hmfcert"] == []

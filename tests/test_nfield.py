@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import nfield_oracles
 from hmfcert import nfield
+from hmfcert.exact import _sign_at
 from hmfcert.nfield import (
     CertifiedInteger,
     DyadicInterval,
@@ -103,6 +104,23 @@ class TestMakeField:
     def test_checks_run_in_order(self, coeffs, exc, message):
         with pytest.raises(exc, match=message):
             make_field(coeffs)
+
+    @pytest.mark.parametrize("coeffs, exc, message", [
+        # a repeated factor first, even with non-real roots
+        ([4, 0, -4, 0, 1], NotIrreducible, "[4, 0, -4, 0, 1] has a repeated factor"),
+        ([1, 0, 2, 0, 1], NotIrreducible, "[1, 0, 2, 0, 1] has a repeated factor"),
+        # then too few real roots, even with a rational factor: (x - 1)(x^2 + 1)
+        ([-1, 1, -1, 1], NotTotallyReal, "only 1 real roots for degree 3"),
+        ([2, 0, 0, 1], NotTotallyReal, "only 1 real roots for degree 3"),
+        # then a rational factor, here with roots at isolation's split points
+        ([0, -3, 1], NotIrreducible, "[0, -3, 1] has a rational factor"),
+        ([0, -16, 0, 1], NotIrreducible, "[0, -16, 0, 1] has a rational factor"),
+        ([6, -2, -3, 1], NotIrreducible, "[6, -2, -3, 1] has a rational factor"),
+    ])
+    def test_error_types_and_messages(self, coeffs, exc, message):
+        with pytest.raises((NotIrreducible, NotTotallyReal)) as info:
+            make_field(coeffs)
+        assert (type(info.value), str(info.value)) == (exc, message)
 
     def test_three_cycle_on_non_galois_cubic_rejected(self):
         # x^3 - 4x + 1 has discriminant 229, not a square: its group is S_3
@@ -1441,7 +1459,8 @@ class TestRootLayerAgainstFractions:
             return type(exc), str(exc)
         cells = [nfield_oracles.start_cell(p, lo, hi) for lo, hi in intervals]
         assert nfield._isolate_real_roots(p) == cells, p
-        seen["degenerate cell"] += any(c[3] == 0 for c in cells)
+        # a lower end that is a root of p, whose cell's sign comes from p'
+        seen["root at lo"] += any(not _sign_at(p, c[0], c[2]) for c in cells)
         if len(p) > 2 and nfield._has_small_factor(p, cells):
             return NotIrreducible, f"{p} has a rational factor"
         refined = []
@@ -1453,7 +1472,7 @@ class TestRootLayerAgainstFractions:
     def test_same_embeddings_cells_and_errors(self):
         rng = random.Random(20)
         seen = {"field": 0, "repeated factor": 0, "rational factor": 0, "real roots": 0,
-                "degenerate cell": 0}
+                "root at lo": 0}
         for p in self._polys(rng, 2000):
             want = self._oracle(p, seen)
             try:
